@@ -13,9 +13,13 @@ Boots the real process, then drives the serving contract end to end:
    (``--slow-query-ms 1``) land in ``/debug/slow`` with an
    EXPLAIN ANALYZE plan and in the JSONL log, and ``/debug/requests``
    stays well-formed while the burst is in flight;
-4. a ``/metrics`` scrape that must contain the ``server.*`` family and
-   cumulative labeled latency-histogram buckets;
-5. ``SIGTERM``, which must drain cleanly: exit code 0, in-flight work
+4. kept-alive connections: sequential requests over one HTTP/1.1
+   connection must be answered correctly and without a per-response
+   stall (a delayed-ACK wait shows up as ~40 ms per request);
+5. a ``/metrics`` scrape that must contain the ``server.*`` family,
+   the match-store counters (the update repaired the stored match
+   list) and cumulative labeled latency-histogram buckets;
+6. ``SIGTERM``, which must drain cleanly: exit code 0, in-flight work
    finished.
 
 When ``REPRO_SMOKE_ARTIFACTS`` names a directory, the slow-query JSONL
@@ -27,6 +31,7 @@ Stdlib only; exits non-zero with a message on the first violation.
 Usage: PYTHONPATH=src python scripts/server_smoke.py
 """
 
+import http.client
 import json
 import os
 import signal
@@ -190,7 +195,10 @@ def main():
               f"peak {seen_inflight} in flight")
 
         # -- sampled trace retrieval + stitched chunk spans ------------
-        request_id = results[0][1]["request_id"]
+        # Coalesced followers execute nothing, so only a leader's trace
+        # holds execution spans.
+        request_id = next(doc["request_id"] for _, doc in results
+                          if not doc["coalesced"])
         listing = json.loads(get(base, "/debug/traces"))
         listed = {t["request_id"] for t in listing["traces"]}
         if request_id not in listed:
@@ -257,12 +265,43 @@ def main():
             fail(f"stale rows served after update: {doc['rows']}")
         print(f"update applied, version {v0} -> {v1}, fresh rows served")
 
+        # -- kept-alive connection -------------------------------------
+        host, port = base[len("http://"):].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            conn.request("POST", "/query", body=json.dumps({"query": QUERY}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            doc = json.loads(resp.read())
+            if resp.status != 200 or doc["rows"] != expected[v1]:
+                fail(f"kept-alive query answered {resp.status}: {doc}")
+            latencies = []
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/health")
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - started)
+                if resp.status != 200:
+                    fail(f"kept-alive /health answered {resp.status}")
+        finally:
+            conn.close()
+        latencies.sort()
+        median_ms = 1e3 * latencies[len(latencies) // 2]
+        if median_ms > 20:
+            fail(f"kept-alive requests stall: median {median_ms:.1f} ms per /health")
+        print(f"kept-alive connection ok (median {median_ms:.1f} ms per /health)")
+
         # -- metrics scrape --------------------------------------------
         metrics = get(base, "/metrics")
         for needle in ("repro_server_requests_total",
                        "repro_server_coalesced_total",
                        "repro_server_updates_total 1",
-                       "repro_server_graph_version"):
+                       "repro_server_graph_version",
+                       "repro_query_match_store_misses_total",
+                       "repro_query_match_store_hits_total",
+                       "repro_query_match_store_repairs_total 1",
+                       "repro_query_match_store_entries 1"):
             if needle not in metrics:
                 fail(f"/metrics is missing {needle!r}")
         scraped = next(

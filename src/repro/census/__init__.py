@@ -48,9 +48,14 @@ ALGORITHMS = {
     "pt-rnd": pt_rnd_census,
 }
 
+#: Algorithms that accept ``matches=`` (an adopted global match list).
+#: nd-bas matches inside each extracted ego subgraph instead, so it has
+#: no global match list to adopt.
+ADOPTS_MATCHES = frozenset(ALGORITHMS) - {"nd-bas"}
+
 
 def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto",
-           workers=1, **options):
+           workers=1, matches=None, **options):
     """Count matches of ``pattern`` in every focal node's k-hop neighborhood.
 
     Parameters
@@ -73,6 +78,13 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
         (or ``None`` for the CPU count) chunk the focal nodes across a
         worker pool via :func:`repro.census.parallel.parallel_census`
         (pass ``executor=`` / ``chunks=`` to tune it).
+    matches:
+        A global match list to adopt instead of running the matching
+        pass, or a zero-argument callable returning one.  The callable
+        runs only when the chosen algorithm adopts matches (every one
+        but nd-bas; see :data:`ADOPTS_MATCHES`), after the planner has
+        picked it.  Without a subpattern the list may hold automorphic
+        embeddings; the census counts each subgraph once.
 
     Returns
     -------
@@ -87,6 +99,12 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
             f"unknown census algorithm {algorithm!r}; expected one of "
             f"{sorted(ALGORITHMS)} or 'auto'"
         )
+    if algorithm not in ADOPTS_MATCHES:
+        matches = None
+    elif callable(matches):
+        matches = matches()
+    if matches is not None:
+        options["matches"] = matches
     if workers is None or workers > 1:
         return parallel_census(
             graph, pattern, k, focal_nodes=focal_nodes, subpattern=subpattern,
@@ -99,6 +117,7 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
 __all__ = [
     "census",
     "ALGORITHMS",
+    "ADOPTS_MATCHES",
     "CensusMatch",
     "CensusRequest",
     "prepare_matches",

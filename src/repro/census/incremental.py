@@ -5,20 +5,11 @@ evolving/noisy networks; this module maintains a census result as the
 graph changes, with work proportional to the affected region instead of
 the whole graph.  Two structures are maintained:
 
-- the **embedding set** (all match embeddings, kept in a dict with a
-  per-node inverted index).  Updates touch it locally:
-
-  - edge insertion: embeddings containing both endpoints are
-    *revalidated* (a negated-edge constraint may now be violated), and
-    new embeddings are found by *seeded matching* anchored on the new
-    edge (every new match must use it);
-  - edge deletion: embeddings containing both endpoints are
-    revalidated (matches using the edge die), and for patterns with
-    negated edges, embeddings newly enabled by the absence are found by
-    seeding the negated edge's endpoints on the deleted pair;
-  - attribute change: embeddings containing the node are revalidated
-    (labels/predicates), and new embeddings through the node are found
-    by node-seeded matching.
+- the **embedding set** (a :class:`repro.matching.seeded.EmbeddingSet`:
+  all match embeddings with a per-node inverted index).  Updates touch
+  it locally: revalidation of the embeddings around the changed
+  element, plus seeded matching anchored on it (see the class for the
+  rules per update kind);
 
 - the **counts**, refreshed only for focal nodes within the affected
   radius (``k``, widened by the pattern diameter when a subpattern lets
@@ -34,16 +25,7 @@ from repro.census.nd_pvot import nd_pvot_census
 from repro.errors import CensusError
 from repro.graph.traversal import k_hop_nodes
 from repro.matching import find_matches
-from repro.matching.seeded import (
-    matches_using_edge,
-    matches_using_node,
-    seeded_matches,
-    validate_embedding,
-)
-
-
-def _key(match):
-    return frozenset(match.mapping.items())
+from repro.matching.seeded import EmbeddingSet
 
 
 class IncrementalCensus:
@@ -64,48 +46,16 @@ class IncrementalCensus:
         self.matcher = matcher
         self._focal = list(focal_nodes) if focal_nodes is not None else None
 
-        self._embeddings = {}
-        self._by_node = {}
-        for m in find_matches(graph, pattern, method=matcher, distinct=False):
-            self._add_embedding(m)
+        self.embeddings = EmbeddingSet(
+            graph, pattern,
+            find_matches(graph, pattern, method=matcher, distinct=False),
+        )
 
         self.counts = self._census(focal=self._focal)
         self.refreshed_nodes = 0  # cumulative work statistic
 
-    # ------------------------------------------------------------------
-    # Embedding bookkeeping
-    # ------------------------------------------------------------------
-    def _add_embedding(self, match):
-        key = _key(match)
-        if key in self._embeddings:
-            return
-        self._embeddings[key] = match
-        for node in match.mapping.values():
-            self._by_node.setdefault(node, set()).add(key)
-
-    def _drop_embedding(self, key):
-        match = self._embeddings.pop(key, None)
-        if match is None:
-            return
-        for node in match.mapping.values():
-            bucket = self._by_node.get(node)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_node[node]
-
-    def _revalidate_touching(self, nodes):
-        """Re-check every embedding containing any of ``nodes``."""
-        keys = set()
-        for node in nodes:
-            keys |= self._by_node.get(node, set())
-        for key in keys:
-            match = self._embeddings[key]
-            if not validate_embedding(self.graph, self.pattern, match.mapping):
-                self._drop_embedding(key)
-
     def num_embeddings(self):
-        return len(self._embeddings)
+        return len(self.embeddings)
 
     # ------------------------------------------------------------------
     # Updates
@@ -114,57 +64,31 @@ class IncrementalCensus:
         """Add a node or update its attributes."""
         existed = self.graph.has_node(node)
         self.graph.add_node(node, **attrs)
+        self.embeddings.node_added(node, existed, attrs)
         if not existed:
-            # A brand-new isolated node can still host single-node
-            # pattern matches.
-            for m in matches_using_node(self.graph, self.pattern, node):
-                self._add_embedding(m)
             if self._focal is None:
                 self.counts[node] = 0
                 self._refresh({node})
-            return
-        if attrs:
-            self._revalidate_touching([node])
-            for m in matches_using_node(self.graph, self.pattern, node):
-                self._add_embedding(m)
+        elif attrs:
             self._refresh(self._affected(node, node))
 
     def add_edge(self, u, v, **attrs):
         """Insert an edge (or merge attributes onto an existing one)."""
         existed = self.graph.has_edge(u, v)
-        new_nodes = {x for x in (u, v) if not self.graph.has_node(x)}
+        new_nodes = [x for x in (u, v) if not self.graph.has_node(x)]
         self.graph.add_edge(u, v, **attrs)
         if self._focal is None:
             for x in new_nodes:
                 self.counts.setdefault(x, 0)
-
-        if existed:
-            if attrs:  # edge-attribute predicates may flip either way
-                self._revalidate_touching([u, v])
-                for m in matches_using_edge(self.graph, self.pattern, u, v):
-                    self._add_embedding(m)
-                self._refresh(self._affected(u, v))
-            return
-
-        # Negated-edge constraints may now be violated.
-        if self.pattern.negative_edges():
-            self._revalidate_touching([u, v])
-        # Every genuinely new match uses the new edge.
-        for m in matches_using_edge(self.graph, self.pattern, u, v):
-            self._add_embedding(m)
-        self._refresh(self._affected(u, v))
+        self.embeddings.edge_added(u, v, existed, attrs, new_nodes)
+        if not existed or attrs:
+            self._refresh(self._affected(u, v))
 
     def remove_edge(self, u, v):
         """Delete an edge and refresh the affected counts."""
         region = self._affected(u, v)  # pre-deletion adjacency
         self.graph.remove_edge(u, v)
-        self._revalidate_touching([u, v])
-        # Patterns with negated edges may gain matches where the deleted
-        # pair realizes the forbidden edge.
-        for e in self.pattern.negative_edges():
-            for nu, nv in ((u, v), (v, u)):
-                for m in seeded_matches(self.graph, self.pattern, {e.u: nu, e.v: nv}):
-                    self._add_embedding(m)
+        self.embeddings.edge_removed(u, v)
         self._refresh(region | self._affected(u, v))
 
     # ------------------------------------------------------------------
@@ -195,7 +119,7 @@ class IncrementalCensus:
         return nd_pvot_census(
             self.graph, self.pattern, self.k, focal_nodes=focal,
             subpattern=self.subpattern, matcher=self.matcher,
-            matches=list(self._embeddings.values()),
+            matches=self.embeddings.matches(),
         )
 
     def _refresh(self, nodes):

@@ -54,10 +54,6 @@ from repro.exec.faults import active_plan, arm_process, fault_point, mark_worker
 from repro.matching import find_matches
 from repro.obs import ObsContext, Span, current_obs, detach_spans
 
-# nd-bas matches inside each extracted ego subgraph, so there is no
-# global match list to share; every other algorithm adopts ``matches=``.
-_ADOPTS_MATCHES = {"nd-pvot", "nd-diff", "pt-bas", "pt-opt", "pt-rnd"}
-
 # collect_stats keys that describe the census plan rather than count
 # work; every chunk reports the same value, so merging keeps the first
 # instead of summing.
@@ -217,7 +213,7 @@ def parallel_census(graph, pattern, k, focal_nodes=None, subpattern=None,
 
     Returns ``{focal_node: count}``, identical to the serial census.
     """
-    from repro.census import ALGORITHMS
+    from repro.census import ADOPTS_MATCHES, ALGORITHMS
 
     if algorithm not in ALGORITHMS:
         raise CensusError(
@@ -242,7 +238,7 @@ def parallel_census(graph, pattern, k, focal_nodes=None, subpattern=None,
         if not focal_chunks:
             return {}
 
-        if matches is None and algorithm in _ADOPTS_MATCHES:
+        if matches is None and algorithm in ADOPTS_MATCHES:
             # One matching pass, shared by every chunk.  Subpattern
             # censuses need raw (non-distinct) embeddings, mirroring
             # prepare_matches.

@@ -54,7 +54,7 @@ class CensusOutcome:
 def governed_census(graph, pattern, k, focal_nodes=None, subpattern=None,
                     algorithm="auto", matcher="cn", workers=1, degrade=False,
                     degrade_sample=DEFAULT_DEGRADE_SAMPLE,
-                    degrade_grace=DEFAULT_DEGRADE_GRACE, seed=0):
+                    degrade_grace=DEFAULT_DEGRADE_GRACE, seed=0, matches=None):
     """Run a census under the ambient budget, degrading when allowed.
 
     Returns a :class:`CensusOutcome`.  Without an ambient budget this is
@@ -64,6 +64,10 @@ def governed_census(graph, pattern, k, focal_nodes=None, subpattern=None,
     (``degrade=True``): estimate counts from ``degrade_sample`` sampled
     matches under a fresh grace budget of ``degrade_grace`` times the
     original timeout, returned with ``partial=True``.
+
+    ``matches`` is forwarded to :func:`repro.census.census` (a list or
+    a provider callable); a provider runs inside the governed region,
+    so a budget blown while it matches degrades like any other.
     """
     from repro.census import census
 
@@ -73,6 +77,7 @@ def governed_census(graph, pattern, k, focal_nodes=None, subpattern=None,
         counts = census(
             graph, pattern, k, focal_nodes=focal_nodes, subpattern=subpattern,
             algorithm=algorithm, matcher=matcher, workers=workers,
+            matches=matches,
         )
         return CensusOutcome(counts)
     except BudgetExceeded as exc:

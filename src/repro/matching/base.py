@@ -82,6 +82,11 @@ def dedupe_matches(matches):
     return list(seen.values())
 
 
+def count_distinct(matches):
+    """Number of distinct match subgraphs in ``matches``."""
+    return len({m.canonical_key for m in matches})
+
+
 def neighbor_set(graph, node, var, edge):
     """Database neighbors of ``node`` that could match across ``edge``.
 

@@ -64,7 +64,10 @@ def bruteforce_matches(graph, pattern, distinct=True):
                 bound.pop()
                 del assignment[var]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # break the closure's self-reference cycle
     if distinct:
         matches = dedupe_matches(matches)
     return matches

@@ -22,6 +22,7 @@ from repro.exec.faults import fault_point
 from repro.matching.base import (
     Match,
     check_new_binding,
+    count_distinct,
     dedupe_matches,
     enumerate_candidates,
     neighbor_set,
@@ -156,7 +157,10 @@ def extract_matches(graph, pattern, state, limit=None):
                 bound.pop()
                 del assignment[var]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # break the closure's self-reference cycle
     return matches
 
 
@@ -170,5 +174,7 @@ def cn_matches(graph, pattern, distinct=True, profile_index=None):
         matches = extract_matches(graph, pattern, state)
         if distinct:
             matches = dedupe_matches(matches)
-        obs.add("match.cn.matches", len(matches))
+        if obs.enabled:
+            obs.add("match.cn.matches",
+                    len(matches) if distinct else count_distinct(matches))
         return matches

@@ -111,7 +111,10 @@ def distance_join_matches(graph, pattern, delta, distinct=True):
             extend(i + 1)
             del assignment[var]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # break the closure's self-reference cycle
     if distinct:
         matches = dedupe_matches(matches)
     return matches

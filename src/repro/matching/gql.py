@@ -17,6 +17,7 @@ from repro.exec.faults import fault_point
 from repro.matching.base import (
     Match,
     check_new_binding,
+    count_distinct,
     dedupe_matches,
     enumerate_candidates,
     neighbor_set,
@@ -115,9 +116,14 @@ def _gql_matches(graph, pattern, distinct, profile_index, obs):
                 bound.pop()
                 del assignment[var]
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # break the closure's self-reference cycle
     if distinct:
         matches = dedupe_matches(matches)
     obs.add("match.gql.candidates_scanned", scanned[0])
-    obs.add("match.gql.matches", len(matches))
+    if obs.enabled:
+        obs.add("match.gql.matches",
+                len(matches) if distinct else count_distinct(matches))
     return matches

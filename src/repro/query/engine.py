@@ -7,6 +7,7 @@ COUNTSP aggregate to a census algorithm (chosen by the planner unless
 pinned), and assemble a :class:`repro.query.result.ResultTable`.
 """
 
+import functools
 import random
 from contextlib import nullcontext
 from itertools import product
@@ -22,6 +23,7 @@ from repro.lang.expressions import evaluate_where, expression_columns
 from repro.lang.parser import parse_query, parse_script
 from repro.matching.pattern import Pattern
 from repro.obs import activate, current_obs, current_request, get_logger
+from repro.query.match_store import LRUCache, MatchStore
 from repro.query.result import ResultTable
 
 logger = get_logger("repro.query.engine")
@@ -101,9 +103,14 @@ class QueryEngine:
         # version (see :attr:`graph_version`), so neither a redefined
         # pattern nor an in-place graph mutation can be served stale.
         self.cache_enabled = bool(cache)
-        self._cache = {}
+        self._cache = LRUCache()
         self.cache_hits = 0
         self.cache_misses = 0
+        # Global match lists reused by every census aggregate (see
+        # repro.query.match_store).  Version-keyed, so it needs a graph
+        # that counts its mutations.
+        self.match_store = MatchStore()
+        self._versioned = hasattr(graph, "version")
 
     def _source_version(self):
         """Mutation version of the source graph (0 when untracked)."""
@@ -124,15 +131,22 @@ class QueryEngine:
         return self._source_version()
 
     def clear_cache(self):
-        """Drop cached aggregate results (call after mutating the graph)."""
+        """Drop cached aggregate results and stored match lists."""
         self._cache.clear()
+        self.match_store.clear()
+        self._cache_gauge()
 
     def refresh_snapshot(self):
-        """Re-freeze the source graph (CSR backend) and drop the cache."""
+        """Re-freeze the source graph (CSR backend) and drop the cache.
+
+        Stored match lists survive when the graph version did not move.
+        """
         if self.backend == "csr":
             self.graph = freeze(self.base_graph)
         self._snapshot_version = self._source_version()
-        self.clear_cache()
+        self._cache.clear()
+        self._cache_gauge()
+        self.match_store.retain(self.graph_version)
 
     # ------------------------------------------------------------------
     # Statement entry points
@@ -408,6 +422,9 @@ class QueryEngine:
             target = hood.targets[0]
             pos = self._alias_position(target, aliases)
             focal = {binding[pos] for binding in bindings}
+            stored = None
+            if self._versioned:
+                stored = functools.partial(self._stored_matches, agg, pattern)
             outcome = self._cached(
                 ("subgraph", agg.pattern_name, agg.subpattern_name, hood.k,
                  self.algorithm, frozenset(focal)),
@@ -422,6 +439,7 @@ class QueryEngine:
                     workers=self.workers,
                     degrade=degrade,
                     seed=self.seed,
+                    matches=stored,
                 ),
             )
             counts = outcome.counts
@@ -446,6 +464,14 @@ class QueryEngine:
         )
         return {b: counts[(b[pos1], b[pos2])] for b in bindings}, None
 
+    def _stored_matches(self, agg, pattern):
+        """The aggregate's global match list, from the match store."""
+        return self.match_store.matches(
+            self.graph, self.graph_version,
+            (agg.pattern_name, self.catalog.version, self.matcher),
+            pattern, self.matcher, distinct=agg.subpattern_name is None,
+        )
+
     def _cached(self, key, compute):
         if not self.cache_enabled:
             return compute()
@@ -455,17 +481,20 @@ class QueryEngine:
         # can no longer silently serve pre-mutation counts.
         key = key + (self.catalog.version, self.graph_version)
         obs = current_obs()
-        try:
-            value = self._cache[key]
+        value = self._cache.get(key)
+        if value is not None:
             self.cache_hits += 1
             obs.add("query.aggregate_cache.hits", 1)
             return value
-        except KeyError:
-            self.cache_misses += 1
-            obs.add("query.aggregate_cache.misses", 1)
-            value = compute()
-            # A degraded (partial) outcome is an estimate under one
-            # particular budget failure; never serve it from the cache.
-            if not getattr(value, "partial", False):
-                self._cache[key] = value
-            return value
+        self.cache_misses += 1
+        obs.add("query.aggregate_cache.misses", 1)
+        value = compute()
+        # A degraded (partial) outcome is an estimate under one
+        # particular budget failure; never serve it from the cache.
+        if not getattr(value, "partial", False):
+            self._cache.put(key, value)
+            self._cache_gauge()
+        return value
+
+    def _cache_gauge(self):
+        current_obs().set_gauge("query.aggregate_cache.entries", len(self._cache))

@@ -245,6 +245,8 @@ def _aggregate_actuals(span):
     cached = span.metrics.get("query.aggregate_cache.hits")
     if cached:
         parts.append("served from aggregate cache")
+    if metrics.get("query.match_store.hits"):
+        parts.append("matches reused from match store")
     if span.attrs.get("partial"):
         parts.append("PARTIAL (budget exhausted, sampled estimate)")
     executed = {c.name for c in span.children if c.name.startswith("census.")}

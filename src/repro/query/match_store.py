@@ -1,0 +1,243 @@
+"""The query engine's match store: global match lists reused across
+queries and repaired across graph updates.
+
+The node-driven plan does one global pattern-matching pass and then
+counts (ND-PVOT, §IV).  That pass depends only on the pattern, the
+matcher and the graph — not on ``k``, the WHERE focal set or the census
+algorithm — so :class:`MatchStore` keeps its result under the key
+(pattern name, catalog version, matcher, graph version), and queries
+that differ only in the parts it does not depend on skip matching.
+
+- **What an entry holds**: every embedding of the pattern, automorphic
+  ones included (``find_matches(distinct=False)``), in the matcher's
+  order.  ``COUNTSP`` censuses adopt that list; ``COUNTP`` censuses
+  adopt its distinct-subgraph view (first embedding per subgraph),
+  which is exactly the list ``find_matches(distinct=True)`` returns.
+  Handed-out lists are never mutated afterwards.
+- **Bound**: at most :data:`CACHE_ENTRIES` entries, least recently
+  used evicted first, all at one graph version: the first entry stored
+  at a newer version drops every older one.
+- **Budgets**: a hit charges ``count_result(len(embeddings))``, what
+  the matching pass would have charged; a pass that raises (a blown
+  budget, a fault) stores nothing.
+- **Repair** (:meth:`MatchStore.begin_repair`): an update batch takes
+  the current entries out of the store, repairs each one op by op
+  with :class:`repro.matching.seeded.EmbeddingSet`, and puts them back
+  at the batch's new version (:meth:`MatchStore.commit`).  An entry
+  whose repair fails is dropped, and so is every entry when the batch
+  fails midway or the store's version is not the live graph's.
+
+Counters: ``query.match_store.{hits,misses,repairs,drops}``; gauge:
+``query.match_store.entries``.
+"""
+
+import threading
+from collections import OrderedDict
+
+from repro.census import base as census_base
+from repro.exec.budget import current_budget
+from repro.matching.base import dedupe_matches
+from repro.matching.seeded import EmbeddingSet
+from repro.obs import current_obs, get_logger
+
+logger = get_logger("repro.query.match_store")
+
+#: Entries kept by the match store and by the engine's aggregate cache.
+CACHE_ENTRIES = 8
+
+
+class LRUCache:
+    """A thread-safe mapping holding the :data:`CACHE_ENTRIES` most
+    recently used keys."""
+
+    def __init__(self):
+        self._data = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            try:
+                self._data.move_to_end(key)
+            except KeyError:
+                return default
+            return self._data[key]
+
+    def put(self, key, value):
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > CACHE_ENTRIES:
+                self._data.popitem(last=False)
+
+    def clear(self):
+        with self._lock:
+            self._data.clear()
+
+    def __len__(self):
+        return len(self._data)
+
+
+class _Entry:
+    """One pattern's embeddings plus lazily built views of them."""
+
+    __slots__ = ("pattern", "embeddings", "_views")
+
+    def __init__(self, pattern, embeddings):
+        self.pattern = pattern
+        # A plain list until the first repair needs the indexed set.
+        self.embeddings = embeddings
+        self._views = {False: embeddings}
+
+    def __len__(self):
+        return len(self.embeddings)
+
+    def view(self, distinct):
+        # setdefault: readers building a view concurrently all get the
+        # first one stored.
+        views = self._views
+        if distinct not in views:
+            if False not in views:
+                views.setdefault(False, self.embeddings.matches())
+            if distinct:
+                views.setdefault(True, dedupe_matches(views[False]))
+        return views[distinct]
+
+    def repairable(self, graph):
+        if not isinstance(self.embeddings, EmbeddingSet):
+            self.embeddings = EmbeddingSet(graph, self.pattern, self.embeddings)
+        self._views = {}
+        return self.embeddings
+
+
+class MatchStore:
+    """Global match lists keyed by pattern, matcher and graph version."""
+
+    def __init__(self):
+        self._entries = OrderedDict()
+        self._version = None
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def matches(self, graph, version, key, pattern, matcher, distinct):
+        """The global match list of ``pattern`` on ``graph`` at ``version``.
+
+        ``key`` is the version-free part of the store key (pattern name,
+        catalog version, matcher).  ``distinct`` selects one embedding
+        per match subgraph; otherwise every embedding is returned.
+        """
+        obs = current_obs()
+        with self._lock:
+            entry = self._entries.get(key) if version == self._version else None
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is not None:
+            obs.add("query.match_store.hits")
+            budget = current_budget()
+            if budget is not None:
+                budget.count_result(len(entry))
+            return entry.view(distinct)
+        obs.add("query.match_store.misses")
+        # Looked up on the census layer's module, the entry point every
+        # algorithm's own matching pass goes through.
+        embeddings = census_base.find_matches(graph, pattern, method=matcher,
+                                              distinct=False)
+        entry = _Entry(pattern, embeddings)
+        with self._lock:
+            if self._version is None or version > self._version:
+                self._drop_all(obs)
+                self._version = version
+            if version == self._version:
+                entry = self._entries.setdefault(key, entry)
+                self._evict()
+            self._gauge(obs)
+        return entry.view(distinct)
+
+    def retain(self, version):
+        """Drop every entry not valid at ``version``."""
+        with self._lock:
+            if version != self._version:
+                obs = current_obs()
+                self._drop_all(obs)
+                self._gauge(obs)
+
+    def clear(self):
+        with self._lock:
+            obs = current_obs()
+            self._drop_all(obs)
+            self._version = None
+            self._gauge(obs)
+
+    # -- repair across updates -------------------------------------------
+    def begin_repair(self, graph, version):
+        """Take the entries out for repair against the mutable ``graph``.
+
+        ``version`` is the version queries observe; only when it is the
+        live graph's too do the entries describe ``graph`` (a stale CSR
+        snapshot does not), so otherwise nothing is taken and the store
+        is emptied.
+        """
+        with self._lock:
+            obs = current_obs()
+            if version != self._version or getattr(graph, "version", None) != version:
+                self._drop_all(obs)
+                entries = OrderedDict()
+            else:
+                entries = self._entries
+                self._entries = OrderedDict()
+            self._version = None
+            self._gauge(obs)
+        return StoreRepair(graph, entries)
+
+    def commit(self, repair, version):
+        """Store the repaired entries at the post-batch ``version``."""
+        obs = current_obs()
+        with self._lock:
+            self._drop_all(obs)
+            self._entries = repair.entries
+            self._version = version
+            self._evict()
+            obs.add("query.match_store.repairs", len(self._entries))
+            self._gauge(obs)
+
+    # -- internals (lock held) ---------------------------------------------
+    def _drop_all(self, obs):
+        if self._entries:
+            obs.add("query.match_store.drops", len(self._entries))
+            self._entries = OrderedDict()
+
+    def _evict(self):
+        while len(self._entries) > CACHE_ENTRIES:
+            self._entries.popitem(last=False)
+
+    def _gauge(self, obs):
+        obs.set_gauge("query.match_store.entries", len(self._entries))
+
+
+class StoreRepair:
+    """Entries taken out of a :class:`MatchStore` for one update batch.
+
+    Call :meth:`apply` after each mutation with the name and arguments
+    of the :class:`~repro.matching.seeded.EmbeddingSet` repair method
+    that matches it.
+    """
+
+    def __init__(self, graph, entries):
+        self.graph = graph
+        self.entries = entries
+
+    def apply(self, event, *args):
+        for key, entry in list(self.entries.items()):
+            try:
+                getattr(entry.repairable(self.graph), event)(*args)
+            except Exception:  # noqa: BLE001 - the entry goes, the update stays
+                logger.exception("match store: cannot repair %r after %s", key, event)
+                del self.entries[key]
+                current_obs().add("query.match_store.drops")
+
+    def abandon(self):
+        """Drop every entry (the batch failed midway)."""
+        if self.entries:
+            current_obs().add("query.match_store.drops", len(self.entries))
+            self.entries = OrderedDict()

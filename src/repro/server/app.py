@@ -409,6 +409,11 @@ def _freeze(mapping):
     return tuple(sorted(mapping.items()))
 
 
+#: Largest request body accepted, in bytes; a larger Content-Length is
+#: answered 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
+
+
 def _make_handler(server):
     """A request-handler class closed over one :class:`CensusServer`."""
 
@@ -417,6 +422,10 @@ def _make_handler(server):
         # Identify quietly; the default advertises the Python version.
         server_version = "repro-census"
         sys_version = ""
+        # Headers and body go out in two writes; with Nagle's algorithm
+        # on, the second waits for the client's delayed ACK (~40 ms) on
+        # every response over a kept-alive connection.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             logger.debug("%s - " + fmt, self.address_string(), *args)
@@ -431,8 +440,24 @@ def _make_handler(server):
             self.wfile.write(payload)
 
         def _read_body(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            """The request body, or ``None`` once a malformed or oversized
+            ``Content-Length`` has been answered (400 / 413).  The body is
+            then left unread, so the connection closes."""
+            raw = (self.headers.get("Content-Length") or "0").strip()
+            if not (raw.isascii() and raw.isdigit()):
+                self._reject(400, f"bad Content-Length {raw!r}")
+                return None
+            length = int(raw)
+            if length > MAX_BODY_BYTES:
+                self._reject(413, f"request body of {length} bytes exceeds "
+                                  f"the {MAX_BODY_BYTES}-byte limit")
+                return None
             return self.rfile.read(length) if length else b""
+
+        def _reject(self, status, message):
+            server.obs.add("server.bad_requests")
+            self._respond(status, "application/json",
+                          encode(error_document(message)), {"Connection": "close"})
 
         def _dispatch(self, route):
             # Last line of defence: a bug in a handler must still answer
@@ -471,6 +496,8 @@ def _make_handler(server):
 
         def do_POST(self):
             body = self._read_body()
+            if body is None:
+                return
             if self.path == "/query":
                 content_type = self.headers.get("Content-Type", "application/json")
                 self._dispatch(lambda: server.handle_query(

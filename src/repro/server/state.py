@@ -18,7 +18,9 @@ when the server maintains one (the maintained counts then update with
 work proportional to the affected region, amortizing updates the same
 way coalescing amortizes queries) and finish with
 ``engine.refresh_snapshot()`` so a CSR-backed engine re-freezes and the
-aggregate cache drops entries for the old version.
+aggregate cache drops entries for the old version.  The engine's match
+store (:mod:`repro.query.match_store`) is repaired op by op alongside,
+so its match lists carry over to the new version.
 """
 
 import threading
@@ -129,29 +131,49 @@ class GraphState:
 
         The whole batch runs under the write lock and ends with one
         ``refresh_snapshot()``, so concurrent queries see either the
-        pre-batch or the post-batch graph, never a prefix.
+        pre-batch or the post-batch graph, never a prefix.  Stored match
+        lists are repaired after every op; a batch that fails midway
+        drops them.
         """
+        engine = self.engine
         with self.lock.write():
-            for op in ops:
-                self._apply_one(op)
-            self.engine.refresh_snapshot()
-            return self.engine.graph_version
+            repair = engine.match_store.begin_repair(self.graph, engine.graph_version)
+            try:
+                for op in ops:
+                    self._apply_one(op, repair)
+            except BaseException:
+                repair.abandon()
+                raise
+            engine.refresh_snapshot()
+            engine.match_store.commit(repair, engine.graph_version)
+            return engine.graph_version
 
-    def _apply_one(self, op):
+    def _apply_one(self, op, repair):
         kind = op["op"]
-        target = self.maintained if self.maintained is not None else self.graph
+        graph = self.graph
+        target = self.maintained if self.maintained is not None else graph
+        attrs = op.get("attrs", {})
         if kind == "add_node":
-            target.add_node(op["node"], **op.get("attrs", {}))
+            node = op["node"]
+            existed = graph.has_node(node)
+            target.add_node(node, **attrs)
+            repair.apply("node_added", node, existed, attrs)
         elif kind == "add_edge":
-            target.add_edge(op["u"], op["v"], **op.get("attrs", {}))
+            u, v = op["u"], op["v"]
+            existed = graph.has_edge(u, v)
+            new_nodes = [x for x in (u, v) if not graph.has_node(x)]
+            target.add_edge(u, v, **attrs)
+            repair.apply("edge_added", u, v, existed, attrs, new_nodes)
         elif kind == "remove_edge":
             target.remove_edge(op["u"], op["v"])
+            repair.apply("edge_removed", op["u"], op["v"])
         elif kind == "remove_node":
             if self.maintained is not None:
                 raise QueryError(
                     "remove_node is not supported while a maintained "
                     "census is configured"
                 )
-            self.graph.remove_node(op["node"])
+            graph.remove_node(op["node"])
+            repair.apply("node_removed", op["node"])
         else:  # protocol validation should have caught this
             raise GraphError(f"unknown update op {kind!r}")

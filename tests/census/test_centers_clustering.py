@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.census import clustering
 from repro.census.base import CensusRequest, prepare_matches
 from repro.census.centers import CenterIndex, select_centers
 from repro.census.clustering import cluster_matches, kmeans
@@ -94,6 +95,36 @@ class TestKMeans:
         clusters = kmeans(vectors, k, seed=seed)
         flat = sorted(i for c in clusters for i in c)
         assert flat == list(range(len(vectors)))
+
+    @pytest.mark.skipif(clustering._np is None, reason="numpy not installed")
+    @given(st.lists(st.lists(st.integers(0, 2) | st.sampled_from([0.5, 2.25, 1 / 3]),
+                             min_size=3, max_size=3), min_size=1, max_size=60),
+           st.integers(1, 20), st.integers(1, 12), st.integers(0, 20))
+    def test_numpy_kernels_match_plain_loops(self, vectors, k, iterations, seed):
+        # Same floats, same tie-breaking: PT-OPT's clusters (and so its
+        # work counters) do not depend on whether numpy is installed.
+        vectorized = kmeans(vectors, k, iterations=iterations, seed=seed)
+        np_module, clustering._np = clustering._np, None
+        try:
+            looped = kmeans(vectors, k, iterations=iterations, seed=seed)
+        finally:
+            clustering._np = np_module
+        assert vectorized == looped
+
+    @pytest.mark.skipif(clustering._np is None, reason="numpy not installed")
+    def test_numpy_ties_go_to_the_first_centroid(self, monkeypatch):
+        # Seed 1 starts from [0.0]; [2.0] is farthest, and [1.0] lies
+        # halfway between the two centroids.
+        assert kmeans([[0.0], [2.0], [1.0]], 2, iterations=1, seed=1) == [[0, 2], [1]]
+        monkeypatch.setattr(clustering, "_np", None)
+        assert kmeans([[0.0], [2.0], [1.0]], 2, iterations=1, seed=1) == [[0, 2], [1]]
+
+    @pytest.mark.skipif(clustering._np is None, reason="numpy not installed")
+    def test_numpy_assignment_blocks(self, monkeypatch):
+        vectors = [[i % 7, i % 3, (i * i) % 5] for i in range(50)]
+        whole = kmeans(vectors, 12, seed=3)
+        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 25)
+        assert kmeans(vectors, 12, seed=3) == whole
 
 
 class TestClusterMatches:

@@ -408,3 +408,107 @@ class TestDifferential:
         _, _, final = post(srv, "/query", {"query": QUERY})
         assert final["graph_version"] == max(expected)
         assert final["rows"] == expected[max(expected)]
+
+
+def raw_exchange(srv, request_bytes, timeout=5):
+    """Send raw request bytes; return (status, everything the server sent
+    until it closed the connection)."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=timeout) as sock:
+        sock.sendall(request_bytes)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    data = b"".join(chunks)
+    return int(data.split(b" ", 2)[1]), data
+
+
+class TestConnectionHandling:
+    def test_kept_alive_requests_do_not_stall(self, server):
+        # Headers and body are written separately; with Nagle's
+        # algorithm on, every response on a reused connection waited for
+        # the client's delayed ACK (~40 ms).
+        import http.client
+
+        srv = server()
+        conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+        body = json.dumps({"query": QUERY}).encode()
+        latencies = []
+        try:
+            for _ in range(12):
+                started = time.perf_counter()
+                conn.request("POST", "/query", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+                latencies.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        steady = sorted(latencies[2:])  # the first ones compute and cache
+        assert steady[len(steady) // 2] < 0.02, latencies
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "+5", "0x10"])
+    def test_bad_content_length_is_400(self, server, length):
+        srv = server()
+        status, data = raw_exchange(
+            srv, b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + length.encode() + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert b"Content-Length" in data
+        assert b"Connection: close" in data
+
+    def test_oversized_body_is_413_before_reading(self, server):
+        from repro.server.app import MAX_BODY_BYTES
+
+        srv = server()
+        # The body is never sent: the answer must not wait for it.
+        status, data = raw_exchange(
+            srv, b"POST /update HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n",
+        )
+        assert status == 413
+        assert b"Connection: close" in data
+        assert get(srv, "/health")[0] == 200
+
+    def test_body_at_the_cap_is_read(self, server):
+        from repro.server.app import MAX_BODY_BYTES
+
+        srv = server()
+        body = json.dumps({"query": QUERY}).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        status, _, doc = post(srv, "/query", raw=body)
+        assert status == 200, doc
+
+
+class TestMatchStoreServing:
+    def test_store_metrics_and_repaired_answers(self, server):
+        graph = preferential_attachment(40, m=3, seed=5)
+        twin = preferential_attachment(40, m=3, seed=5)
+        srv = server(graph)
+        queries = [QUERY.replace("SUBGRAPH(ID, 1)", f"SUBGRAPH(ID, {k})")
+                   for k in (1, 2)]
+        for q in queries:
+            assert post(srv, "/query", {"query": q})[0] == 200
+        ops = [{"op": "add_edge", "u": 0, "v": 39},
+               {"op": "remove_edge", "u": 1, "v": 3}]
+        assert twin.has_edge(1, 3) and not twin.has_edge(0, 39)
+        assert post(srv, "/update", {"ops": ops})[0] == 200
+        twin.add_edge(0, 39)
+        twin.remove_edge(1, 3)
+        for q in queries:
+            status, _, doc = post(srv, "/query", {"query": q})
+            assert status == 200
+            assert doc["rows"] == [list(r) for r in QueryEngine(twin).execute(q).rows]
+        counters = json.loads(get(srv, "/metrics?format=json")[2])["counters"]
+        assert counters["query.match_store.misses"] == 1
+        assert counters["query.match_store.hits"] == 3
+        assert counters["query.match_store.repairs"] == 1
+        text = get(srv, "/metrics")[2].decode()
+        assert "repro_query_match_store_entries 1" in text
+        assert "repro_query_aggregate_cache_entries" in text

@@ -1,8 +1,9 @@
 """PR 5 perf tracking: telemetry overhead on the serving path.
 
-Every served request now runs inside a ``RequestObsContext`` (span tree
-+ metrics tee) regardless of sampling, so the cost that matters is the
-*always-on* bookkeeping plus whatever head sampling adds.  This bench
+Every served request runs inside its own ``ObsContext`` (a span tree
+over the daemon's shared registry) regardless of sampling, so the cost
+that matters is the *always-on* bookkeeping plus whatever head sampling
+adds.  This bench
 drives ``CensusServer.handle_query`` in process — no HTTP, no socket
 noise — with caching and coalescing defeated so every request executes
 the census, and compares three configurations:
@@ -109,7 +110,7 @@ def main():
         "notes": (
             "median per-request seconds of in-process handle_query calls "
             "(no HTTP); best median of REPS repeats per config. 'off' "
-            "still runs the ambient RequestObsContext — the comparison "
+            "still runs each request under its own ObsContext — the comparison "
             "isolates what head sampling adds, which is the knob the "
             "--trace-sample-rate flag exposes."
         ),

@@ -27,7 +27,6 @@ CLI ``--profile`` flag are built on this module.
 
 from repro.obs.context import (
     DISABLED,
-    MetricsObsContext,
     ObsContext,
     activate,
     current_obs,
@@ -51,7 +50,6 @@ from repro.obs.metrics import (
     Timer,
 )
 from repro.obs.telemetry import (
-    RequestObsContext,
     RequestTrace,
     Telemetry,
     current_request,
@@ -60,8 +58,6 @@ from repro.obs.trace import Span, format_duration, render_span_tree
 
 __all__ = [
     "ObsContext",
-    "MetricsObsContext",
-    "RequestObsContext",
     "DISABLED",
     "activate",
     "current_obs",

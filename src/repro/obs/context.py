@@ -156,7 +156,7 @@ class _SpanScope:
     def __exit__(self, *exc):
         span = self._span.finish()
         _CURRENT_SPAN.reset(self._token)
-        self._ctx._span_finished(span)
+        self._ctx.registry.timer("span." + span.name).observe(span.duration)
         return False
 
 
@@ -188,14 +188,6 @@ class ObsContext:
 
     def set_gauge(self, name, value):
         self.registry.gauge(name).set(value)
-
-    def _span_finished(self, span):
-        """Hook called by the span scope on exit; records the timer.
-
-        Subclasses override to tee timings elsewhere (the per-request
-        telemetry context mirrors them into the daemon registry).
-        """
-        self.registry.timer("span." + span.name).observe(span.duration)
 
     # -- activation -----------------------------------------------------
     def __enter__(self):
@@ -248,34 +240,3 @@ class ObsContext:
 
     def __repr__(self):
         return f"<ObsContext roots={len(self.roots)} {self.registry!r}>"
-
-
-class _TransientSpanScope(_SpanScope):
-    """A span scope that times and attributes but retains nothing.
-
-    The span still becomes the current span (so ``obs.add`` attribution
-    and nesting work) and its duration still lands in the registry's
-    timer on exit, but it is never attached to a parent or to the
-    context's roots — it is garbage the moment the scope closes.
-    """
-
-    def __enter__(self):
-        span = self._span
-        self._token = _CURRENT_SPAN.set(span)
-        span.start_time = time.perf_counter()
-        return span
-
-
-class MetricsObsContext(ObsContext):
-    """An :class:`ObsContext` for long-running processes.
-
-    A plain context accumulates one span tree per query in ``roots``,
-    which is exactly right for a CLI run and an unbounded memory leak
-    for a daemon serving millions of requests.  This variant keeps the
-    whole metrics surface — counters, gauges, histograms, and the
-    per-span timers — but discards the span objects themselves, so its
-    footprint is bounded by the number of distinct metric names.
-    """
-
-    def span(self, name, **attrs):
-        return _TransientSpanScope(self, name, attrs)

@@ -19,8 +19,7 @@ a family.  Labeled instruments are registered under the rendered key
 ``name{k=v,...}`` (sorted by label name), so a registry snapshot stays a
 flat name-keyed dict and exporters recover the family/series split from
 the key.  Keep label value sets tiny and bounded — a label per request
-would turn the registry into the unbounded memory leak the daemon's
-:class:`~repro.obs.context.MetricsObsContext` exists to avoid.
+would grow the daemon's long-lived registry with every request served.
 """
 
 import threading

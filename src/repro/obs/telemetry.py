@@ -1,15 +1,15 @@
 """Request-scoped telemetry for the serving path.
 
-The daemon's :class:`~repro.obs.context.MetricsObsContext` keeps memory
-bounded by throwing span trees away, which makes a served query a black
-box: no request identity, no percentiles, no answer to "why was *this
-one* slow".  This module restores per-request visibility without
+The daemon's shared :class:`~repro.obs.metrics.MetricsRegistry`
+aggregates across requests, which on its own makes a served query a
+black box: no request identity, no percentiles, no answer to "why was
+*this one* slow".  This module adds per-request visibility without
 unbounding memory:
 
-- every request runs under its own :class:`RequestObsContext`, which
-  retains the request's span tree privately while **teeing** every
-  counter, histogram observation, gauge, and span timer into the shared
-  daemon registry — so ``/metrics`` still aggregates across requests;
+- every request runs under its own :class:`~repro.obs.context.ObsContext`
+  over the shared registry: the context keeps the request's span tree,
+  and each counter, histogram observation, gauge, and span timer lands
+  in the registry once — so ``/metrics`` aggregates across requests;
 - a :class:`RequestTrace` carries a generated request ID through
   admission, coalescing, and engine execution, and is reachable from
   any frame via :func:`current_request` (a ``contextvars`` variable,
@@ -17,14 +17,16 @@ unbounding memory:
 - **head-based sampling** decides at admission whether the finished
   trace is retained in a bounded FIFO ring buffer (``--trace-sample-rate``);
   unsampled requests still get IDs, latency observations, and slow-query
-  capture — sampling only controls ring-buffer retention;
+  capture — sampling only controls ring-buffer retention, and a span
+  tree no ring retains is garbage once its request finishes;
 - request latency lands in fixed log-scaled histograms
   (:data:`~repro.obs.metrics.LATENCY_BUCKETS`) labeled per
   endpoint x algorithm x backend, so per-endpoint p95 is derivable from
   any Prometheus scrape;
 - requests slower than ``--slow-query-ms`` are captured — full trace
-  plus a rendered ``EXPLAIN ANALYZE`` plan — into a second ring buffer
-  (``GET /debug/slow``) and appended to a structured JSONL log.
+  plus an ``EXPLAIN ANALYZE`` plan replayed from that trace — into a
+  second ring buffer (``GET /debug/slow``) and appended to a structured
+  JSONL log.
 
 Coalesced followers never execute the engine, so they record only their
 wait time (``server.coalesced_wait_seconds``) and a
@@ -56,41 +58,6 @@ def current_request():
     return _CURRENT_REQUEST.get()
 
 
-class RequestObsContext(ObsContext):
-    """A per-request obs context that tees into a shared registry.
-
-    The private registry and span roots give the request its own
-    complete trace (for sampling and slow-query capture); the shared
-    registry keeps daemon-wide aggregates exact.  Both sides see each
-    counter increment, histogram observation, and span timer exactly
-    once.
-    """
-
-    def __init__(self, shared=None):
-        super().__init__()
-        self._shared = shared
-
-    def add(self, name, value=1):
-        super().add(name, value)
-        if self._shared is not None:
-            self._shared.counter(name).inc(value)
-
-    def observe(self, name, value):
-        super().observe(name, value)
-        if self._shared is not None:
-            self._shared.histogram(name).observe(value)
-
-    def set_gauge(self, name, value):
-        super().set_gauge(name, value)
-        if self._shared is not None:
-            self._shared.gauge(name).set(value)
-
-    def _span_finished(self, span):
-        super()._span_finished(span)
-        if self._shared is not None:
-            self._shared.timer("span." + span.name).observe(span.duration)
-
-
 class RequestTrace:
     """Identity and trace state for one served request."""
 
@@ -100,13 +67,13 @@ class RequestTrace:
         "start_time", "end_time",
     )
 
-    def __init__(self, endpoint, sampled, shared_registry=None):
+    def __init__(self, endpoint, sampled, registry):
         ident = uuid.uuid4().hex
         self.request_id = ident[:16]
         self.trace_id = ident
         self.endpoint = endpoint
         self.sampled = bool(sampled)
-        self.ctx = RequestObsContext(shared=shared_registry)
+        self.ctx = ObsContext(registry=registry)
         self.root = None
         self.query = None
         self.status = None
@@ -219,8 +186,8 @@ class Telemetry:
     ----------
     registry:
         The shared daemon :class:`~repro.obs.metrics.MetricsRegistry`
-        that per-request contexts tee into (usually the server's
-        ``MetricsObsContext.registry``).
+        that every request's context records into (the server's
+        ``registry``).
     sample_rate:
         Probability (0..1) that a finished request's full span tree is
         retained in the trace ring buffer.
@@ -262,7 +229,7 @@ class Telemetry:
         capture must never fail a request).
         """
         sampled = self.sample_rate > 0 and self._rng.random() < self.sample_rate
-        trace = RequestTrace(endpoint, sampled, shared_registry=self.registry)
+        trace = RequestTrace(endpoint, sampled, self.registry)
         return _RequestScope(self, trace, on_slow)
 
     def _begin(self, trace):

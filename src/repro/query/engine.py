@@ -468,7 +468,7 @@ class QueryEngine:
         """The aggregate's global match list, from the match store."""
         return self.match_store.matches(
             self.graph, self.graph_version,
-            (agg.pattern_name, self.catalog.version, self.matcher),
+            (agg.pattern_name, self.matcher),
             pattern, self.matcher, distinct=agg.subpattern_name is None,
         )
 

@@ -183,19 +183,18 @@ def explain_analyze(engine, query):
         engine.obs = saved_obs
 
     root = ctx.roots[0] if ctx.roots else None
-    return render_analyzed_plan(engine, query, root, ctx.registry)
+    return render_analyzed_plan(engine, query, root)
 
 
-def render_analyzed_plan(engine, query, root, registry):
+def render_analyzed_plan(engine, query, root):
     """Annotate ``query``'s plan from an already-recorded trace.
 
     ``root`` is the ``query.execute`` span of an execution that has
-    *already happened* (``None`` renders the static plan) and
-    ``registry`` the metrics registry that execution recorded into.
-    This is the replay half of ``EXPLAIN ANALYZE``: the serving path's
-    slow-query capture uses it to produce a full analyzed plan for the
-    request that was just slow, without running the query a second
-    time.
+    *already happened* (``None`` renders the static plan); every
+    annotation comes from the span tree under it.  This is the replay
+    half of ``EXPLAIN ANALYZE``: the serving path's slow-query capture
+    uses it to produce a full analyzed plan for the request that was
+    just slow, without running the query a second time.
     """
     if isinstance(query, str):
         from repro.lang.parser import parse_query
@@ -205,7 +204,7 @@ def render_analyzed_plan(engine, query, root, registry):
     for line in explain_query(engine, query).splitlines():
         lines.append(_annotate_plan_line(line, root))
     if root is not None:
-        lines.extend(_execution_summary(root, registry))
+        lines.extend(_execution_summary(root))
     return "\n".join(lines)
 
 
@@ -257,22 +256,22 @@ def _aggregate_actuals(span):
     return "; " + ", ".join(parts)
 
 
-def _execution_summary(root, registry):
+def _execution_summary(root):
     lines = []
     metrics = root.subtree_metrics()
     hits = metrics.get("query.aggregate_cache.hits", 0)
     misses = metrics.get("query.aggregate_cache.misses", 0)
     if hits or misses:
         lines.append(f"AGGREGATE CACHE: {hits} hits, {misses} misses")
-    chunk_hist = registry.histograms().get("census.parallel.chunk_seconds")
-    if chunk_hist is not None and chunk_hist.count:
+    chunks = [s.duration for s in root.walk() if s.name == "census.parallel.chunk"]
+    if chunks:
         lines.append(
-            f"PARALLEL: {metrics.get('census.parallel.chunks', chunk_hist.count)} "
+            f"PARALLEL: {metrics.get('census.parallel.chunks', len(chunks))} "
             f"chunks over {metrics.get('census.parallel.workers', '?')} workers; "
-            f"per-chunk {format_duration(chunk_hist.min)} min / "
-            f"{format_duration(chunk_hist.mean)} mean / "
-            f"{format_duration(chunk_hist.max)} max "
-            f"(critical path {format_duration(chunk_hist.max)})"
+            f"per-chunk {format_duration(min(chunks))} min / "
+            f"{format_duration(sum(chunks) / len(chunks))} mean / "
+            f"{format_duration(max(chunks))} max "
+            f"(critical path {format_duration(max(chunks))})"
         )
     storage = {
         name[len("storage."):]: value

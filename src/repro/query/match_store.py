@@ -5,8 +5,10 @@ The node-driven plan does one global pattern-matching pass and then
 counts (ND-PVOT, §IV).  That pass depends only on the pattern, the
 matcher and the graph — not on ``k``, the WHERE focal set or the census
 algorithm — so :class:`MatchStore` keeps its result under the key
-(pattern name, catalog version, matcher, graph version), and queries
+(pattern name, matcher, graph version), valid while the name still
+resolves to the pattern object the entry was built from, and queries
 that differ only in the parts it does not depend on skip matching.
+Redefining a pattern misses only that pattern's entry.
 
 - **What an entry holds**: every embedding of the pattern, automorphic
   ones included (``find_matches(distinct=False)``), in the matcher's
@@ -124,14 +126,18 @@ class MatchStore:
         """The global match list of ``pattern`` on ``graph`` at ``version``.
 
         ``key`` is the version-free part of the store key (pattern name,
-        catalog version, matcher).  ``distinct`` selects one embedding
-        per match subgraph; otherwise every embedding is returned.
+        matcher); an entry built from another ``pattern`` object (the
+        name was redefined since) is a miss.  ``distinct`` selects one
+        embedding per match subgraph; otherwise every embedding is
+        returned.
         """
         obs = current_obs()
         with self._lock:
             entry = self._entries.get(key) if version == self._version else None
-            if entry is not None:
+            if entry is not None and entry.pattern is pattern:
                 self._entries.move_to_end(key)
+            else:
+                entry = None
         if entry is not None:
             obs.add("query.match_store.hits")
             budget = current_budget()
@@ -149,7 +155,12 @@ class MatchStore:
                 self._drop_all(obs)
                 self._version = version
             if version == self._version:
-                entry = self._entries.setdefault(key, entry)
+                stored = self._entries.get(key)
+                if stored is not None and stored.pattern is pattern:
+                    entry = stored
+                else:
+                    self._entries[key] = entry
+                    self._entries.move_to_end(key)
                 self._evict()
             self._gauge(obs)
         return entry.view(distinct)

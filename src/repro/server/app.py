@@ -35,7 +35,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import BudgetExceeded, CensusError, GraphError, QueryError
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
-    MetricsObsContext,
+    MetricsRegistry,
     Telemetry,
     get_logger,
     to_json,
@@ -118,19 +118,19 @@ class CensusServer:
                  workers=1, algorithm="auto", pairwise_algorithm="nd",
                  matcher="cn", seed=0, cache=True, timeout=None, max_ops=None,
                  max_results=None, degrade=False, max_active=4, queue_depth=16,
-                 retry_after=1.0, maintain=None, maintain_k=2, obs=None,
+                 retry_after=1.0, maintain=None, maintain_k=2,
                  trace_sample_rate=0.0, slow_query_ms=None, slow_query_log=None,
                  trace_buffer=256, slow_buffer=64):
-        self.obs = obs if obs is not None else MetricsObsContext()
+        self.registry = MetricsRegistry()
         self.telemetry = Telemetry(
-            registry=self.obs.registry, sample_rate=trace_sample_rate,
+            registry=self.registry, sample_rate=trace_sample_rate,
             slow_query_ms=slow_query_ms, slow_log_path=slow_query_log,
             trace_buffer=trace_buffer, slow_buffer=slow_buffer,
             labels={"algorithm": algorithm, "backend": backend},
         )
         # The engine gets no pinned obs context: each request activates
-        # its own RequestObsContext (which tees into ``self.obs``'s
-        # registry), and pinning would make the engine ignore it.
+        # its own ObsContext over ``self.registry`` (see
+        # repro.obs.telemetry), and pinning would make the engine ignore it.
         self.engine = QueryEngine(
             graph, seed=seed, algorithm=algorithm,
             pairwise_algorithm=pairwise_algorithm, matcher=matcher,
@@ -160,7 +160,7 @@ class CensusServer:
 
         handler = _make_handler(self)
         self.httpd = _Server((host, port), handler)
-        self.obs.set_gauge("server.graph_version", self.state.version)
+        self.registry.gauge("server.graph_version").set(self.state.version)
 
     # -- addresses ------------------------------------------------------
     @property
@@ -233,8 +233,8 @@ class CensusServer:
     def handle_metrics(self, fmt="prometheus"):
         if fmt == "json":
             # The JSON snapshot carries per-histogram p50/p95/p99.
-            return 200, "application/json", to_json(self.obs.registry).encode("utf-8")
-        text = to_prometheus(self.obs.registry)
+            return 200, "application/json", to_json(self.registry).encode("utf-8")
+        text = to_prometheus(self.registry)
         return 200, PROMETHEUS_CONTENT_TYPE, text.encode("utf-8")
 
     # -- debug endpoints -------------------------------------------------
@@ -276,7 +276,7 @@ class CensusServer:
         return 200, "application/json", encode(doc)
 
     def handle_query(self, headers, body, content_type):
-        self.obs.add("server.requests")
+        self.registry.counter("server.requests").inc()
         with self.telemetry.request("query", on_slow=self._slow_plan) as trace:
             try:
                 with self.admission.slot() as waited:
@@ -295,7 +295,7 @@ class CensusServer:
                             request.degrade,
                         )
                         entered = time.perf_counter()
-                        table, coalesced, leader_id = self.coalescer.run_traced(
+                        table, coalesced, leader_id = self.coalescer.run(
                             key,
                             lambda: self.engine.execute(
                                 request.query, budget=request.budget,
@@ -309,7 +309,7 @@ class CensusServer:
                             )
             except Saturated as exc:
                 trace.status = 429
-                self.obs.add("server.rejected")
+                trace.ctx.add("server.rejected")
                 doc = error_document(str(exc), retry_after=exc.retry_after)
                 return 429, "application/json", encode(doc), {
                     "Retry-After": f"{exc.retry_after:g}",
@@ -321,11 +321,11 @@ class CensusServer:
                 )
             except BadRequest as exc:
                 trace.status = 400
-                self.obs.add("server.bad_requests")
+                trace.ctx.add("server.bad_requests")
                 return 400, "application/json", encode(error_document(str(exc)))
             except BudgetExceeded as exc:
                 trace.status = 503
-                self.obs.add("server.budget_exceeded")
+                trace.ctx.add("server.budget_exceeded")
                 hint = ("even the sampling fallback exceeded its grace budget"
                         if request.degrade
                         else "retry with degrade for a partial estimate")
@@ -334,14 +334,14 @@ class CensusServer:
                 )
             except (QueryError, CensusError) as exc:
                 trace.status = 400
-                self.obs.add("server.bad_requests")
+                trace.ctx.add("server.bad_requests")
                 return 400, "application/json", encode(error_document(str(exc)))
 
             trace.status = 200
             if coalesced:
-                self.obs.add("server.coalesced")
+                trace.ctx.add("server.coalesced")
             if table.partial:
-                self.obs.add("server.partial")
+                trace.ctx.add("server.partial")
             return 200, "application/json", encode(
                 result_document(
                     table, version, coalesced,
@@ -364,12 +364,10 @@ class CensusServer:
         if trace.root is not None:
             root = trace.root.find("query.execute") or trace.root
         with self.state.read():
-            return render_analyzed_plan(
-                self.engine, trace.query, root, trace.ctx.registry,
-            )
+            return render_analyzed_plan(self.engine, trace.query, root)
 
     def handle_update(self, body):
-        self.obs.add("server.requests")
+        self.registry.counter("server.requests").inc()
         with self.telemetry.request("update") as trace:
             try:
                 with self.admission.slot() as waited:
@@ -379,7 +377,7 @@ class CensusServer:
                     version = self.state.apply(ops)
             except Saturated as exc:
                 trace.status = 429
-                self.obs.add("server.rejected")
+                trace.ctx.add("server.rejected")
                 doc = error_document(str(exc), retry_after=exc.retry_after)
                 return 429, "application/json", encode(doc), {
                     "Retry-After": f"{exc.retry_after:g}",
@@ -391,11 +389,11 @@ class CensusServer:
                 )
             except (BadRequest, QueryError, GraphError) as exc:
                 trace.status = 400
-                self.obs.add("server.bad_requests")
+                trace.ctx.add("server.bad_requests")
                 return 400, "application/json", encode(error_document(str(exc)))
             trace.status = 200
-            self.obs.add("server.updates")
-            self.obs.set_gauge("server.graph_version", version)
+            trace.ctx.add("server.updates")
+            trace.ctx.set_gauge("server.graph_version", version)
             return 200, "application/json", encode(
                 {"graph_version": version, "applied": len(ops),
                  "request_id": trace.request_id, "trace_id": trace.trace_id}
@@ -455,7 +453,7 @@ def _make_handler(server):
             return self.rfile.read(length) if length else b""
 
         def _reject(self, status, message):
-            server.obs.add("server.bad_requests")
+            server.registry.counter("server.bad_requests").inc()
             self._respond(status, "application/json",
                           encode(error_document(message)), {"Connection": "close"})
 

@@ -44,23 +44,16 @@ class Coalescer:
         self._lock = threading.Lock()
         self._flights = {}
 
-    def run(self, key, compute):
+    def run(self, key, compute, token=None):
         """Execute ``compute()`` once per concurrent batch of ``key``.
 
-        Returns ``(value, coalesced)`` where ``coalesced`` is ``True``
-        for followers that shared a leader's execution.  A leader's
-        exception propagates to the leader and every follower alike.
-        """
-        value, coalesced, _ = self.run_traced(key, compute)
-        return value, coalesced
-
-    def run_traced(self, key, compute, token=None):
-        """:meth:`run`, carrying an opaque identity ``token`` per flight.
-
-        Returns ``(value, coalesced, leader_token)``: the leader's
-        ``token`` (its request ID, for the serving path) so followers
-        can link their trace to the execution that actually answered
-        them.  The leader sees its own token back.
+        Returns ``(value, coalesced, leader_token)``: ``coalesced`` is
+        ``True`` for followers that shared a leader's execution, and
+        ``leader_token`` is the opaque ``token`` the leader passed (its
+        request ID, for the serving path), so followers can link their
+        trace to the execution that actually answered them.  The leader
+        sees its own token back.  A leader's exception propagates to
+        the leader and every follower alike.
         """
         with self._lock:
             flight = self._flights.get(key)

@@ -25,7 +25,7 @@ so its match lists carry over to the new version.
 
 import threading
 
-from repro.errors import GraphError, QueryError
+from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError, QueryError
 
 
 class ReadWriteLock:
@@ -131,14 +131,16 @@ class GraphState:
 
         The whole batch runs under the write lock and ends with one
         ``refresh_snapshot()``, so concurrent queries see either the
-        pre-batch or the post-batch graph, never a prefix.  Stored match
-        lists are repaired after every op; a batch that fails midway
-        drops them.
+        pre-batch or the post-batch graph, never a prefix.  The batch is
+        checked whole before its first op runs, so a batch that would
+        fail changes nothing (and drops the stored match lists); a
+        passing batch has its stored lists repaired after every op.
         """
         engine = self.engine
         with self.lock.write():
             repair = engine.match_store.begin_repair(self.graph, engine.graph_version)
             try:
+                self._check(ops)
                 for op in ops:
                     self._apply_one(op, repair)
             except BaseException:
@@ -147,6 +149,61 @@ class GraphState:
             engine.refresh_snapshot()
             engine.match_store.commit(repair, engine.graph_version)
             return engine.graph_version
+
+    def _check(self, ops):
+        """Raise the error ``ops`` would raise midway, before any op runs.
+
+        Replays the batch over an overlay of the graph: each op sees the
+        nodes and edges that the batch's own earlier ops add or remove.
+        """
+        graph = self.graph
+        directed = getattr(graph, "directed", False)
+        nodes = {}  # node -> present after the ops checked so far
+        edges = {}  # edge key -> present after the ops checked so far
+        removed = set()  # nodes removed, with all their graph edges
+
+        def edge_key(u, v):
+            return (u, v) if directed else frozenset((u, v))
+
+        def has_node(node):
+            return nodes[node] if node in nodes else graph.has_node(node)
+
+        def has_edge(u, v):
+            key = edge_key(u, v)
+            if key in edges:
+                return edges[key]
+            return not (u in removed or v in removed) and graph.has_edge(u, v)
+
+        for op in ops:
+            kind = op["op"]
+            if kind == "add_node":
+                nodes[op["node"]] = True
+            elif kind == "add_edge":
+                u, v = op["u"], op["v"]
+                if u == v:
+                    raise GraphError(f"self-loop on {u!r} is not allowed")
+                nodes[u] = nodes[v] = True
+                edges[edge_key(u, v)] = True
+            elif kind == "remove_edge":
+                u, v = op["u"], op["v"]
+                if not has_edge(u, v):
+                    raise EdgeNotFoundError(u, v)
+                edges[edge_key(u, v)] = False
+            elif kind == "remove_node":
+                node = op["node"]
+                if self.maintained is not None:
+                    raise QueryError(
+                        "remove_node is not supported while a maintained "
+                        "census is configured"
+                    )
+                if not has_node(node):
+                    raise NodeNotFoundError(node)
+                nodes[node] = False
+                removed.add(node)
+                edges = {key: present for key, present in edges.items()
+                         if node not in key}
+            else:  # protocol validation should have caught this
+                raise GraphError(f"unknown update op {kind!r}")
 
     def _apply_one(self, op, repair):
         kind = op["op"]
@@ -167,13 +224,6 @@ class GraphState:
         elif kind == "remove_edge":
             target.remove_edge(op["u"], op["v"])
             repair.apply("edge_removed", op["u"], op["v"])
-        elif kind == "remove_node":
-            if self.maintained is not None:
-                raise QueryError(
-                    "remove_node is not supported while a maintained "
-                    "census is configured"
-                )
+        else:  # remove_node; _check refused it under a maintained census
             graph.remove_node(op["node"])
             repair.apply("node_removed", op["node"])
-        else:  # protocol validation should have caught this
-            raise GraphError(f"unknown update op {kind!r}")

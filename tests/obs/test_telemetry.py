@@ -1,7 +1,7 @@
 """Unit tests for request-scoped telemetry.
 
-The daemon-facing contracts: every request gets an identity and a
-private span tree that tees into the shared registry, head sampling
+The daemon-facing contracts: every request gets an identity and its
+own span tree over the shared registry, head sampling
 controls only ring-buffer retention, ring buffers evict FIFO at their
 configured capacity, quantiles come out of the fixed log-scaled
 buckets, and log records inside a request carry its IDs.
@@ -165,8 +165,8 @@ class TestRequestScope:
             with trace.ctx.span("query.execute"):
                 pass
             trace.status = 200
-        # Both the private and shared registry saw the counter and the
-        # span timer, exactly once each.
+        # The request's context records into the shared registry: the
+        # counter and the span timer land there exactly once each.
         assert shared.snapshot()["counters"]["census.match_units"] == 7
         assert trace.ctx.registry.snapshot()["counters"]["census.match_units"] == 7
         assert shared.snapshot()["histograms"]["span.query.execute"]["count"] == 1

@@ -101,6 +101,22 @@ class TestAnswers:
         assert second["query.match_store.misses"] == 1
         assert engine.execute(q).rows != first
 
+    def test_defining_another_pattern_keeps_stored_lists(self):
+        engine = QueryEngine(graph())
+        q = QUERY.format(pattern="clq3-unlb", k=1, p=1.0)
+        engine.execute(q)
+        engine.define_pattern(wedge())
+        seen = counters(lambda: engine.execute(q))
+        assert seen["query.match_store.hits"] == 1
+        assert "query.match_store.misses" not in seen
+        # Redefining the stored pattern itself (a fresh object, even one
+        # of the same shape) still misses.
+        engine.define_pattern(standard_catalog().get("clq3-unlb"))
+        seen = counters(lambda: engine.execute(q))
+        assert seen["query.match_store.misses"] == 1
+        assert "query.match_store.hits" not in seen
+        assert len(engine.match_store) == 1
+
     def test_dict_graph_mutated_in_place_is_never_served_stale(self):
         g = graph()
         engine = QueryEngine(g)
@@ -233,7 +249,7 @@ class TestConcurrentMisses:
             results[i] = engine.execute(queries[i]).rows
             lists[i] = engine.match_store.matches(
                 engine.graph, engine.graph_version,
-                ("clq3-unlb", engine.catalog.version, "cn"), pattern, "cn", True)
+                ("clq3-unlb", "cn"), pattern, "cn", True)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -145,7 +145,7 @@ def stored(engine, pattern, distinct):
     with ObsContext() as obs:
         matches = engine.match_store.matches(
             engine.graph, engine.graph_version,
-            (pattern.name, engine.catalog.version, engine.matcher),
+            (pattern.name, engine.matcher),
             pattern, engine.matcher, distinct,
         )
     assert dict(obs.counter_table()).get("query.match_store.hits") == 1, "entry was dropped"
@@ -165,7 +165,6 @@ def check_store(engine, patterns):
 
 
 def populate(engine, patterns):
-    # Defining a pattern bumps the catalog version, which keys the store.
     for pattern in patterns:
         engine.define_pattern(pattern)
     for pattern in patterns:

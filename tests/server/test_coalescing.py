@@ -12,7 +12,7 @@ class TestCoalescer:
         co = Coalescer()
         calls = []
         for _ in range(3):
-            value, coalesced = co.run("k", lambda: calls.append(1) or len(calls))
+            value, coalesced, _ = co.run("k", lambda: calls.append(1) or len(calls))
             assert coalesced is False
         assert len(calls) == 3
         assert co.in_flight() == 0
@@ -50,8 +50,8 @@ class TestCoalescer:
             t.join(timeout=10)
 
         assert len(calls) == 1, "coalesced duplicates must execute once"
-        values = [v for v, _ in results]
-        flags = sorted(c for _, c in results)
+        values = [v for v, _, _ in results]
+        flags = sorted(c for _, c, _ in results)
         assert values == ["answer"] * 6
         assert flags == [False] + [True] * 5
 
@@ -69,12 +69,12 @@ class TestCoalescer:
         t = threading.Thread(target=lambda: holder.update(r=co.run("a", slow)))
         t.start()
         assert started.wait(timeout=5)
-        value, coalesced = co.run("b", lambda: "fast")
+        value, coalesced, _ = co.run("b", lambda: "fast")
         assert (value, coalesced) == ("fast", False)
         assert co.in_flight() == 1
         gate.set()
         t.join(timeout=5)
-        assert holder["r"] == ("slow", False)
+        assert holder["r"] == ("slow", False, None)
 
     def test_leader_exception_propagates_to_followers(self):
         co = Coalescer()
@@ -113,5 +113,5 @@ class TestCoalescer:
         co = Coalescer()
         with pytest.raises(ValueError):
             co.run("k", lambda: (_ for _ in ()).throw(ValueError("once")))
-        value, coalesced = co.run("k", lambda: "fine")
+        value, coalesced, _ = co.run("k", lambda: "fine")
         assert (value, coalesced) == ("fine", False)

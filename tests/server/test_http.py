@@ -248,7 +248,7 @@ class TestConcurrency:
         # Cache off: any duplicate that is NOT coalesced would re-run
         # the census and show up in the census.match_units counter.
         srv = server(cache=False, max_active=8, queue_depth=8)
-        counters = srv.obs.registry
+        counters = srv.registry
 
         def census_runs():
             return counters.counter("census.match_units").value

@@ -1,11 +1,13 @@
 """Unit tests for the read/write lock and versioned graph state."""
 
+import random
 import threading
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError, QueryError
 from repro.graph import Graph
+from repro.graph.generators import preferential_attachment
 from repro.query.engine import QueryEngine
 from repro.server import GraphState, ReadWriteLock
 
@@ -118,3 +120,127 @@ class TestGraphState:
         assert g.has_edge(0, 2)
         with pytest.raises(QueryError, match="remove_node"):
             state.apply([{"op": "remove_node", "node": 3}])
+
+
+def graph_image(g):
+    edges = set(g.edges()) if g.directed else {frozenset(e) for e in g.edges()}
+    return set(g.nodes()), edges, g.version
+
+
+class TestFailedBatchChangesNothing:
+    QUERY = "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) AS c FROM nodes ORDER BY ID"
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("bad_op, error", [
+        ({"op": "remove_edge", "u": 0, "v": 999}, EdgeNotFoundError),
+        ({"op": "remove_node", "node": 999}, NodeNotFoundError),
+        ({"op": "add_edge", "u": 3, "v": 3}, GraphError),
+    ])
+    def test_mixed_batch(self, backend, bad_op, error):
+        g = preferential_attachment(30, m=2, seed=7)
+        engine = QueryEngine(g, backend=backend)
+        state = GraphState(engine)
+        engine.execute(self.QUERY)  # stores a match list
+        before = graph_image(g)
+        version, snapshot = state.version, engine.graph
+        batch = [{"op": "add_edge", "u": 0, "v": 29},
+                 {"op": "add_node", "node": 500},
+                 {"op": "remove_edge", "u": 1, "v": next(iter(g.neighbors(1)))},
+                 bad_op]
+        with pytest.raises(error):
+            state.apply(batch)
+        assert graph_image(g) == before
+        assert state.version == version
+        assert engine.graph is snapshot
+        assert engine.execute(self.QUERY).rows == \
+            QueryEngine(g.copy(), backend=backend).execute(self.QUERY).rows
+
+    def test_remove_node_under_maintained_census(self):
+        from repro.census.incremental import IncrementalCensus
+
+        g = path_graph(4)
+        engine = QueryEngine(g)
+        maintained = IncrementalCensus(g, engine.catalog.get("clq3-unlb"), 1)
+        state = GraphState(engine, maintained=maintained)
+        before, counts = graph_image(g), maintained.snapshot()
+        with pytest.raises(QueryError, match="remove_node"):
+            state.apply([{"op": "add_edge", "u": 0, "v": 2},
+                          {"op": "remove_node", "node": 3}])
+        assert graph_image(g) == before
+        assert maintained.snapshot() == counts
+        assert maintained.num_embeddings() == 0
+
+
+def sequential_error(g, batch):
+    """The error class applying ``batch`` op by op to a copy raises."""
+    shadow = g.copy()
+    try:
+        for op in batch:
+            args = (op["u"], op["v"]) if "u" in op else (op["node"],)
+            getattr(shadow, op["op"])(*args)
+    except GraphError as exc:
+        return type(exc), shadow
+    return None, shadow
+
+
+def check_like_sequential(g, batch):
+    """``GraphState.apply`` ends where op-by-op application does, or
+    raises the same error and leaves ``g`` untouched."""
+    expected, shadow = sequential_error(g, batch)
+    before = graph_image(g)
+    state = GraphState(QueryEngine(g))
+    if expected is None:
+        state.apply(batch)
+        assert graph_image(g)[:2] == graph_image(shadow)[:2], batch
+    else:
+        with pytest.raises(expected):
+            state.apply(batch)
+        assert graph_image(g) == before, batch
+    return expected
+
+
+def edge(kind, u, v):
+    return {"op": kind, "u": u, "v": v}
+
+
+def node(kind, n):
+    return {"op": kind, "node": n}
+
+
+@pytest.mark.parametrize("batch, fails", [
+    ([edge("add_edge", 0, 9), node("remove_node", 0), edge("remove_edge", 0, 9)], True),
+    ([node("remove_node", 0), edge("add_edge", 0, 9), edge("remove_edge", 0, 9)], False),
+    ([node("remove_node", 1), edge("remove_edge", 1, 2)], True),
+    ([node("remove_node", 1), node("add_node", 1), edge("remove_edge", 1, 2)], True),
+    ([edge("remove_edge", 1, 2), edge("remove_edge", 2, 1)], True),
+    ([edge("remove_edge", 1, 2), edge("add_edge", 2, 1), edge("remove_edge", 1, 2)], False),
+    ([node("add_node", 9), node("remove_node", 9), node("remove_node", 9)], True),
+    ([edge("add_edge", 8, 9), node("remove_node", 8), node("remove_node", 9)], False),
+])
+def test_batch_sees_its_own_earlier_ops(batch, fails):
+    assert (check_like_sequential(path_graph(4), batch) is not None) == fails
+
+
+def random_op(rng, nodes):
+    kind = rng.choice(["add_node", "add_edge", "remove_edge", "remove_edge",
+                       "remove_node"])
+    if kind in ("add_node", "remove_node"):
+        return node(kind, rng.randrange(nodes + 1))
+    return edge(kind, rng.randrange(nodes + 1), rng.randrange(nodes + 1))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_batch_fails_exactly_when_sequential_ops_would(directed):
+    # Few nodes, so batches often touch what their earlier ops changed
+    # (self-loops included).
+    rng = random.Random(11)
+    nodes = 5
+    failures = 0
+    for _ in range(1000):
+        g = Graph(directed=directed)
+        for _ in range(6):
+            u, v = rng.sample(range(nodes), 2)
+            g.add_edge(u, v)
+        batch = [random_op(rng, nodes) for _ in range(rng.randint(2, 6))]
+        failures += check_like_sequential(g, batch) is not None
+    assert 0 < failures < 1000

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.graph.generators import preferential_attachment
-from repro.obs import Span
+from repro.obs import Span, format_duration
 from repro.obs.metrics import split_label_key
 from repro.server import CensusServer
 
@@ -160,6 +160,24 @@ class TestDebugSlow:
         on_disk = [json.loads(line) for line in log.read_text().splitlines()]
         assert doc["request_id"] in {r["request_id"] for r in on_disk}
 
+    def test_parallel_plan_line_matches_chunk_spans(self, server):
+        # The slow plan's PARALLEL line is rendered from the request's own
+        # census.parallel.chunk spans, so its figures are theirs.
+        srv = server(graph=preferential_attachment(60, m=3, seed=3),
+                     slow_query_ms=0.0, workers=2, cache=False)
+        _, doc = post(srv, "/query", {"query": QUERY})
+        _, slow = get(srv, "/debug/slow")
+        record = {r["request_id"]: r for r in slow["slow"]}[doc["request_id"]]
+        chunks = [s.duration for s in Span.from_dict(record["spans"]).walk()
+                  if s.name == "census.parallel.chunk"]
+        assert len(chunks) == 2
+        lo, mean, hi = (format_duration(x)
+                        for x in (min(chunks), sum(chunks) / 2, max(chunks)))
+        line = next(ln for ln in record["plan"].splitlines()
+                    if ln.startswith("PARALLEL:"))
+        assert line == (f"PARALLEL: 2 chunks over 2 workers; per-chunk {lo} min / "
+                        f"{mean} mean / {hi} max (critical path {hi})")
+
     def test_fast_queries_not_captured(self, server):
         srv = server(slow_query_ms=60_000.0)
         post(srv, "/query", {"query": QUERY})
@@ -216,13 +234,19 @@ class TestCoalescedTimingExactlyOnce:
         # contributing only coalesced-wait observations and hits.
         srv = server(graph=preferential_attachment(60, m=3, seed=3),
                      cache=False, max_active=8, queue_depth=64)
+        gate = threading.Event()
+        orig = srv.engine.execute
+
+        def gated(*args, **kwargs):
+            assert gate.wait(timeout=30)
+            return orig(*args, **kwargs)
+
+        srv.engine.execute = gated
         n = 8
         results = []
         lock = threading.Lock()
-        barrier = threading.Barrier(n)
 
         def one():
-            barrier.wait(timeout=30)
             status, doc = post(srv, "/query", {"query": QUERY})
             with lock:
                 results.append((status, doc))
@@ -230,6 +254,12 @@ class TestCoalescedTimingExactlyOnce:
         threads = [threading.Thread(target=one) for _ in range(n)]
         for t in threads:
             t.start()
+        # Release the leader only once the whole burst joined its flight.
+        deadline = time.monotonic() + 30
+        while (sum(f.followers for f in srv.coalescer._flights.values()) < n - 1
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        gate.set()
         for t in threads:
             t.join(timeout=60)
         assert len(results) == n
@@ -237,8 +267,9 @@ class TestCoalescedTimingExactlyOnce:
         coalesced = sum(doc["coalesced"] for _, doc in results)
         executions = n - coalesced
         assert coalesced >= 1, "burst did not overlap; nothing was tested"
+        assert coalesced == n - 1
 
-        snap = srv.obs.registry.snapshot()
+        snap = srv.registry.snapshot()
         request_count = 0
         wait_count = 0
         hits = 0
@@ -262,8 +293,8 @@ class TestCoalescedTimingExactlyOnce:
 
 class TestBoundedness:
     def test_10k_requests_leave_daemon_memory_flat(self, server):
-        # The MetricsObsContext + telemetry soak: metric cardinality and
-        # retained-object counts must not grow with request count.
+        # The telemetry soak: metric cardinality and retained-object
+        # counts must not grow with request count.
         srv = server(graph=preferential_attachment(10, m=2, seed=1),
                      trace_sample_rate=1.0, trace_buffer=32, slow_buffer=8,
                      cache=False)
@@ -276,14 +307,14 @@ class TestBoundedness:
 
         drive(200)  # warm up every metric name this workload can create
         gc.collect()
-        cardinality_before = len(srv.obs.registry)
+        cardinality_before = len(srv.registry)
         spans_before = sum(
             isinstance(o, Span) for o in gc.get_objects()
         )
 
         drive(10_000)
         gc.collect()
-        cardinality_after = len(srv.obs.registry)
+        cardinality_after = len(srv.registry)
         spans_after = sum(
             isinstance(o, Span) for o in gc.get_objects()
         )

@@ -20,7 +20,11 @@ Boots the real process, then drives the serving contract end to end:
    the match-store counters (the update repaired the stored match
    list) and cumulative labeled latency-histogram buckets;
 6. ``SIGTERM``, which must drain cleanly: exit code 0, in-flight work
-   finished.
+   finished;
+7. a second daemon with ``--maintain clq3-unlb --maintain-k 1``: after a
+   query on that pattern and an update batch, ``GET /counts`` must equal
+   a serial engine's column on the updated graph, ``/health`` must
+   report maintained embeddings and ``/metrics`` the match-store repair.
 
 When ``REPRO_SMOKE_ARTIFACTS`` names a directory, the slow-query JSONL
 and the final metrics scrape are copied there (CI uploads them as
@@ -49,6 +53,7 @@ QUERY = ("SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 2)) AS c "
          "FROM nodes ORDER BY c DESC, ID ASC LIMIT 5")
 UPDATE = {"ops": [{"op": "add_edge", "u": 1, "v": 199},
                   {"op": "add_edge", "u": 2, "v": 198}]}
+MAINTAINED_QUERY = "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) AS c FROM nodes"
 
 
 def fail(message):
@@ -89,6 +94,97 @@ def serial_rows(graph_path, ops_batches):
     return expected
 
 
+def start_daemon(graph_path, *flags):
+    """Boot ``repro serve`` on a free port; returns (process, base URL,
+    first /health document)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(graph_path),
+         "--port", "0", *flags],
+        env={"PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    try:
+        banner = proc.stdout.readline().strip()
+        print(banner)
+        if "http://" not in banner:
+            fail(f"unexpected serve banner: {banner!r}")
+        base = "http://" + banner.split("http://")[1].split(" ")[0]
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                return proc, base, json.loads(get(base, "/health"))
+            except OSError:
+                if time.monotonic() > deadline:
+                    fail("daemon never became healthy")
+                time.sleep(0.1)
+    except BaseException:
+        proc.kill()
+        raise
+
+
+def drain(proc):
+    """SIGTERM ``proc``, which must drain and exit 0."""
+    proc.send_signal(signal.SIGTERM)
+    try:
+        code = proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        fail("daemon did not exit within 60s of SIGTERM")
+    tail = proc.stdout.read()
+    if code != 0:
+        fail(f"daemon exited {code} after SIGTERM:\n{tail}")
+    if "drained" not in tail:
+        fail(f"daemon exited without reporting a drain:\n{tail}")
+
+
+def maintained_phase(graph_path):
+    """A ``--maintain`` daemon: after a query on the maintained pattern
+    and an update batch, ``/counts`` must equal a serial engine's
+    column on the updated graph, computed from the shared, repaired
+    match list."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.graph.io import load_json
+    from repro.query.engine import QueryEngine
+
+    graph = load_json(graph_path)
+    ops = [{"op": "add_edge", "u": 3, "v": 197},
+           {"op": "add_edge", "u": 197, "v": 4},
+           {"op": "add_edge", "u": 3, "v": 4},
+           {"op": "remove_edge", "u": 10, "v": min(graph.neighbors(10))}]
+    for op in ops:
+        getattr(graph, op["op"])(op["u"], op["v"])
+    expected = {repr(n): c for n, c in
+                QueryEngine(graph).execute(MAINTAINED_QUERY).rows}
+
+    proc, base, _ = start_daemon(graph_path, "--maintain", "clq3-unlb",
+                                 "--maintain-k", "1")
+    try:
+        status, doc = post(base, "/query", {"query": MAINTAINED_QUERY})
+        if status != 200:
+            fail(f"query on the maintained pattern failed: {doc}")
+        status, doc = post(base, "/update", {"ops": ops})
+        if status != 200:
+            fail(f"update under --maintain failed: {doc}")
+        counts = json.loads(get(base, "/counts"))
+        if counts["graph_version"] != doc["graph_version"]:
+            fail(f"/counts at version {counts['graph_version']}, "
+                 f"update answered {doc['graph_version']}")
+        if counts["counts"] != expected:
+            wrong = sorted(n for n in expected if counts["counts"].get(n) != expected[n])
+            fail(f"maintained counts differ from a serial engine at {wrong[:5]}")
+        health = json.loads(get(base, "/health"))
+        if not health.get("maintained_embeddings", 0) > 0:
+            fail(f"/health reports no maintained embeddings: {health}")
+        metrics = get(base, "/metrics")
+        if "repro_query_match_store_repairs_total" not in metrics:
+            fail("/metrics shows no match-store repair after the update")
+        drain(proc)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    print(f"maintained census ok ({len(expected)} counts after the update, "
+          f"{health['maintained_embeddings']} embeddings)")
+
+
 def main():
     tmp = Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
     graph_path = tmp / "g.json"
@@ -100,36 +196,18 @@ def main():
     )
     expected = serial_rows(graph_path, [UPDATE])
 
-    proc = subprocess.Popen(
-        # --no-cache so duplicate suppression can only come from
-        # request coalescing, which is what this smoke is for.
-        # --workers 2 so served traces must contain stitched per-chunk
-        # spans; sampling at 1.0 and a 1ms slow threshold so the debug
-        # endpoints have something to serve.
-        [sys.executable, "-m", "repro", "serve", str(graph_path),
-         "--port", "0", "--max-active", "2", "--queue-depth", "64",
-         "--no-cache", "--workers", "2",
-         "--trace-sample-rate", "1", "--slow-query-ms", "1",
-         "--slow-query-log", str(slow_log)],
-        env={"PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    # --no-cache so duplicate suppression can only come from request
+    # coalescing, which is what this smoke is for.  --workers 2 so
+    # served traces must contain stitched per-chunk spans; sampling at
+    # 1.0 and a 1ms slow threshold so the debug endpoints have
+    # something to serve.
+    proc, base, health = start_daemon(
+        graph_path, "--max-active", "2", "--queue-depth", "64",
+        "--no-cache", "--workers", "2",
+        "--trace-sample-rate", "1", "--slow-query-ms", "1",
+        "--slow-query-log", str(slow_log),
     )
     try:
-        banner = proc.stdout.readline().strip()
-        print(banner)
-        if "http://" not in banner:
-            fail(f"unexpected serve banner: {banner!r}")
-        base = "http://" + banner.split("http://")[1].split(" ")[0]
-
-        deadline = time.monotonic() + 30
-        while True:
-            try:
-                health = json.loads(get(base, "/health"))
-                break
-            except OSError:
-                if time.monotonic() > deadline:
-                    fail("daemon never became healthy")
-                time.sleep(0.1)
         v0 = health["graph_version"]
         if v0 not in expected:
             fail(f"initial version {v0} unknown to the serial replay")
@@ -332,17 +410,9 @@ def main():
             print(f"artifacts exported to {out}")
 
         # -- graceful drain --------------------------------------------
-        proc.send_signal(signal.SIGTERM)
-        try:
-            code = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            fail("daemon did not exit within 60s of SIGTERM")
-        tail = proc.stdout.read()
-        if code != 0:
-            fail(f"daemon exited {code} after SIGTERM:\n{tail}")
-        if "drained" not in tail:
-            fail(f"daemon exited without reporting a drain:\n{tail}")
+        drain(proc)
         print("SIGTERM drained cleanly")
+        maintained_phase(graph_path)
         print("server smoke: OK")
     finally:
         if proc.poll() is None:

@@ -3,19 +3,18 @@
 The paper's group followed this work with declarative analysis of
 evolving/noisy networks; this module maintains a census result as the
 graph changes, with work proportional to the affected region instead of
-the whole graph.  Two structures are maintained:
+the whole graph:
 
-- the **embedding set** (a :class:`repro.matching.seeded.EmbeddingSet`:
-  all match embeddings with a per-node inverted index).  Updates touch
-  it locally: revalidation of the embeddings around the changed
-  element, plus seeded matching anchored on it (see the class for the
-  rules per update kind);
+- the **matches** are the pattern's entry in a
+  :class:`repro.query.match_store.MatchStore` (a private one by
+  default; the serving daemon shares its query engine's).  Updates go
+  through :meth:`MatchStore.apply`, which mutates the graph and repairs
+  the entry locally, so no global re-matching happens after
+  construction unless the store evicts the entry;
 
-- the **counts**, refreshed only for focal nodes within the affected
-  radius (``k``, widened by the pattern diameter when a subpattern lets
-  matches extend beyond the neighborhood) via ND-PVOT over the
-  maintained embeddings — no global re-matching ever happens after
-  construction.
+- the **counts** are refreshed only for focal nodes within the affected
+  radius of the changed nodes, before and after the update, via
+  ND-PVOT over the stored matches.
 
 Correctness is property-tested against full recomputation on random
 update sequences.
@@ -24,110 +23,110 @@ update sequences.
 from repro.census.nd_pvot import nd_pvot_census
 from repro.errors import CensusError
 from repro.graph.traversal import k_hop_nodes
-from repro.matching import find_matches
-from repro.matching.seeded import EmbeddingSet
 
 
 class IncrementalCensus:
     """A census result kept current under graph updates.
 
-    Parameters mirror :func:`repro.census.census`.  Mutate the graph
-    *through this class* (``add_edge`` / ``remove_edge`` / ``add_node``)
-    so the maintained embeddings and counts stay in step.
+    Parameters mirror :func:`repro.census.census`, plus the ``store``
+    the matches are read from.  Mutate the graph through this class, or
+    through ``store.apply`` followed by :meth:`refresh` (no
+    ``remove_node``), so the matches and counts stay in step.
     """
 
     def __init__(self, graph, pattern, k, focal_nodes=None, subpattern=None,
-                 matcher="cn"):
+                 matcher="cn", store=None):
         pattern.validate()
+        if store is None:
+            from repro.query.match_store import MatchStore
+
+            store = MatchStore()
         self.graph = graph
         self.pattern = pattern
         self.k = k
         self.subpattern = subpattern
         self.matcher = matcher
-        self._focal = list(focal_nodes) if focal_nodes is not None else None
-
-        self.embeddings = EmbeddingSet(
-            graph, pattern,
-            find_matches(graph, pattern, method=matcher, distinct=False),
-        )
-
-        self.counts = self._census(focal=self._focal)
+        self.store = store
+        focal = list(focal_nodes) if focal_nodes is not None else None
+        self._focal = set(focal) if focal is not None else None
+        self.counts = self._census(focal, self._matches())
         self.refreshed_nodes = 0  # cumulative work statistic
 
     def num_embeddings(self):
-        return len(self.embeddings)
+        """Embeddings of the pattern when the counts were last refreshed."""
+        return self._num_embeddings
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def add_node(self, node, **attrs):
         """Add a node or update its attributes."""
-        existed = self.graph.has_node(node)
-        self.graph.add_node(node, **attrs)
-        self.embeddings.node_added(node, existed, attrs)
-        if not existed:
-            if self._focal is None:
-                self.counts[node] = 0
-                self._refresh({node})
-        elif attrs:
-            self._refresh(self._affected(node, node))
+        self._apply({"op": "add_node", "node": node, "attrs": attrs})
 
     def add_edge(self, u, v, **attrs):
         """Insert an edge (or merge attributes onto an existing one)."""
-        existed = self.graph.has_edge(u, v)
-        new_nodes = [x for x in (u, v) if not self.graph.has_node(x)]
-        self.graph.add_edge(u, v, **attrs)
-        if self._focal is None:
-            for x in new_nodes:
-                self.counts.setdefault(x, 0)
-        self.embeddings.edge_added(u, v, existed, attrs, new_nodes)
-        if not existed or attrs:
-            self._refresh(self._affected(u, v))
+        self._apply({"op": "add_edge", "u": u, "v": v, "attrs": attrs})
 
     def remove_edge(self, u, v):
         """Delete an edge and refresh the affected counts."""
-        region = self._affected(u, v)  # pre-deletion adjacency
-        self.graph.remove_edge(u, v)
-        self.embeddings.edge_removed(u, v)
-        self._refresh(region | self._affected(u, v))
+        self._apply({"op": "remove_edge", "u": u, "v": v})
+
+    def _apply(self, op):
+        self.refresh(self.store.apply(self.graph, [op]))
+
+    def refresh(self, changed):
+        """Re-count after a batch that changed the nodes ``changed``
+        (what :meth:`MatchStore.apply` returned).
+
+        The focal nodes re-counted are those within the affected radius
+        of a changed node after the batch.  That covers the same region
+        before it: a shortest path from a focal node to its nearest
+        changed node holds no edge the batch removed (that edge's
+        endpoints changed, and one is nearer), so the path survives.
+        """
+        if not changed:
+            return
+        matches = self._matches()
+        nodes = self._region(changed)
+        if nodes:
+            self.counts.update(self._census(nodes, matches))
+            self.refreshed_nodes += len(nodes)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _affected(self, u, v):
-        """Focal nodes whose count can see a change at (u, v).
+    def _region(self, nodes):
+        """Focal nodes whose count can see a change at ``nodes``.
 
-        Without a subpattern, a changed match always contains the
-        changed element, so radius ``k`` suffices; with a subpattern the
-        match may extend beyond the containment set, so the radius
-        widens by the pattern diameter.
+        Without a subpattern, a changed match always contains a changed
+        element, so radius ``k`` suffices; with a subpattern the match
+        may extend beyond the containment set, so the radius widens by
+        the pattern diameter.
         """
         radius = self.k
         if self.subpattern is not None:
             radius += self.pattern.diameter()
         region = set()
-        for endpoint in {u, v}:
-            if self.graph.has_node(endpoint):
-                region |= k_hop_nodes(self.graph, endpoint, radius)
+        for node in set(nodes):
+            if self.graph.has_node(node):
+                region |= k_hop_nodes(self.graph, node, radius)
         if self._focal is not None:
-            region &= set(self._focal)
-        else:
-            region &= set(self.counts)
+            region &= self._focal
         return region
 
-    def _census(self, focal):
+    def _matches(self):
+        matches = self.store.matches(
+            self.graph, self.graph.version, (self.pattern.name, self.matcher),
+            self.pattern, self.matcher, distinct=False,
+        )
+        self._num_embeddings = len(matches)
+        return matches
+
+    def _census(self, focal, matches):
         return nd_pvot_census(
             self.graph, self.pattern, self.k, focal_nodes=focal,
-            subpattern=self.subpattern, matcher=self.matcher,
-            matches=self.embeddings.matches(),
+            subpattern=self.subpattern, matcher=self.matcher, matches=matches,
         )
-
-    def _refresh(self, nodes):
-        nodes = [n for n in nodes if self.graph.has_node(n)]
-        if not nodes:
-            return
-        self.counts.update(self._census(focal=nodes))
-        self.refreshed_nodes += len(nodes)
 
     # ------------------------------------------------------------------
     # Read API

@@ -12,9 +12,10 @@ Incremental maintenance needs two primitives:
   exist, labels/attributes may have changed).
 
 :class:`EmbeddingSet` applies them: it holds every embedding of one
-pattern and repairs itself locally after each graph mutation.  Both
-:class:`repro.census.IncrementalCensus` and the query engine's match
-store (:mod:`repro.query.match_store`) keep their matches in one.
+pattern and repairs itself locally after each graph mutation.  The
+match store (:mod:`repro.query.match_store`) keeps each repaired entry
+in one; the query engine and :class:`repro.census.IncrementalCensus`
+both read their matches from a store.
 """
 
 from repro.errors import PatternError

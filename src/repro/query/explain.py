@@ -263,11 +263,22 @@ def _execution_summary(root):
     misses = metrics.get("query.aggregate_cache.misses", 0)
     if hits or misses:
         lines.append(f"AGGREGATE CACHE: {hits} hits, {misses} misses")
-    chunks = [s.duration for s in root.walk() if s.name == "census.parallel.chunk"]
-    if chunks:
+    # One figure set per parallel census, named by its aggregate when
+    # the query has several.
+    parallel, output = [], None
+    for span in root.walk():
+        if span.name == "query.aggregate":
+            output = span.attrs.get("output")
+        elif span.name == "census.parallel":
+            chunks = [c.duration for c in span.children
+                      if c.name == "census.parallel.chunk"]
+            if chunks:
+                parallel.append((output, span.attrs, chunks))
+    for output, attrs, chunks in parallel:
+        label = f"PARALLEL {output}:" if len(parallel) > 1 else "PARALLEL:"
         lines.append(
-            f"PARALLEL: {metrics.get('census.parallel.chunks', len(chunks))} "
-            f"chunks over {metrics.get('census.parallel.workers', '?')} workers; "
+            f"{label} {attrs.get('chunks', len(chunks))} "
+            f"chunks over {attrs.get('workers', '?')} workers; "
             f"per-chunk {format_duration(min(chunks))} min / "
             f"{format_duration(sum(chunks) / len(chunks))} mean / "
             f"{format_duration(max(chunks))} max "

@@ -22,12 +22,14 @@ Redefining a pattern misses only that pattern's entry.
 - **Budgets**: a hit charges ``count_result(len(embeddings))``, what
   the matching pass would have charged; a pass that raises (a blown
   budget, a fault) stores nothing.
-- **Repair** (:meth:`MatchStore.begin_repair`): an update batch takes
-  the current entries out of the store, repairs each one op by op
-  with :class:`repro.matching.seeded.EmbeddingSet`, and puts them back
-  at the batch's new version (:meth:`MatchStore.commit`).  An entry
-  whose repair fails is dropped, and so is every entry when the batch
-  fails midway or the store's version is not the live graph's.
+- **Updates** (:meth:`MatchStore.apply`): the one place update ops
+  become graph mutations.  The store applies each op and repairs every
+  entry after it with :class:`repro.matching.seeded.EmbeddingSet`,
+  then stores the entries at the batch's new version.  An entry whose
+  repair fails is dropped, and so is every entry when an op fails or
+  the store's version is not the live graph's.  A maintained census
+  (:class:`repro.census.IncrementalCensus`) reads its pattern's entry
+  from a store, so served queries and the census share one repair.
 
 Counters: ``query.match_store.{hits,misses,repairs,drops}``; gauge:
 ``query.match_store.entries``.
@@ -46,6 +48,11 @@ logger = get_logger("repro.query.match_store")
 
 #: Entries kept by the match store and by the engine's aggregate cache.
 CACHE_ENTRIES = 8
+
+#: The :class:`~repro.matching.seeded.EmbeddingSet` repair run after
+#: each update op.
+_REPAIRS = {"add_node": "node_added", "add_edge": "edge_added",
+            "remove_edge": "edge_removed", "remove_node": "node_removed"}
 
 
 class LRUCache:
@@ -181,36 +188,56 @@ class MatchStore:
             self._gauge(obs)
 
     # -- repair across updates -------------------------------------------
-    def begin_repair(self, graph, version):
-        """Take the entries out for repair against the mutable ``graph``.
+    def apply(self, graph, ops):
+        """Apply ``POST /update`` op dicts to the mutable ``graph``,
+        repairing every entry after each op, and store the entries at
+        the new ``graph.version``.  Returns the changed nodes: the
+        endpoints of every op but an attr-free add of what exists.
 
-        ``version`` is the version queries observe; only when it is the
-        live graph's too do the entries describe ``graph`` (a stale CSR
-        snapshot does not), so otherwise nothing is taken and the store
-        is emptied.
+        The entries are dropped first unless the store's version is
+        ``graph.version`` (a stale CSR snapshot's entries do not
+        describe ``graph``), and all of them when an op raises.
         """
-        with self._lock:
-            obs = current_obs()
-            if version != self._version or getattr(graph, "version", None) != version:
-                self._drop_all(obs)
-                entries = OrderedDict()
-            else:
-                entries = self._entries
-                self._entries = OrderedDict()
-            self._version = None
-            self._gauge(obs)
-        return StoreRepair(graph, entries)
-
-    def commit(self, repair, version):
-        """Store the repaired entries at the post-batch ``version``."""
         obs = current_obs()
         with self._lock:
-            self._drop_all(obs)
-            self._entries = repair.entries
-            self._version = version
-            self._evict()
-            obs.add("query.match_store.repairs", len(self._entries))
+            if self._version != getattr(graph, "version", None):
+                self._drop_all(obs)
+            entries, self._entries, self._version = self._entries, OrderedDict(), None
             self._gauge(obs)
+        changed = set()
+        try:
+            for op in ops:
+                kind, attrs = op["op"], op.get("attrs") or {}
+                ends = (op["node"],) if kind.endswith("_node") else (op["u"], op["v"])
+                existed, args = False, ()
+                if kind == "add_node":
+                    existed = graph.has_node(*ends)
+                    args = (existed, attrs)
+                elif kind == "add_edge":
+                    existed = graph.has_edge(*ends)
+                    args = (existed, attrs, [x for x in ends if not graph.has_node(x)])
+                getattr(graph, kind)(*ends, **attrs)
+                if not existed or attrs:
+                    changed.update(ends)
+                for key, entry in list(entries.items()):
+                    try:
+                        getattr(entry.repairable(graph), _REPAIRS[kind])(*ends, *args)
+                    except Exception:  # noqa: BLE001 - the entry goes, the update stays
+                        logger.exception("match store: cannot repair %r after %s", key, kind)
+                        del entries[key]
+                        obs.add("query.match_store.drops")
+        except BaseException:
+            if entries:
+                obs.add("query.match_store.drops", len(entries))
+            raise
+        with self._lock:
+            self._drop_all(obs)
+            self._entries = entries
+            self._version = getattr(graph, "version", None)
+            self._evict()
+            obs.add("query.match_store.repairs", len(entries))
+            self._gauge(obs)
+        return changed
 
     # -- internals (lock held) ---------------------------------------------
     def _drop_all(self, obs):
@@ -225,30 +252,3 @@ class MatchStore:
     def _gauge(self, obs):
         obs.set_gauge("query.match_store.entries", len(self._entries))
 
-
-class StoreRepair:
-    """Entries taken out of a :class:`MatchStore` for one update batch.
-
-    Call :meth:`apply` after each mutation with the name and arguments
-    of the :class:`~repro.matching.seeded.EmbeddingSet` repair method
-    that matches it.
-    """
-
-    def __init__(self, graph, entries):
-        self.graph = graph
-        self.entries = entries
-
-    def apply(self, event, *args):
-        for key, entry in list(self.entries.items()):
-            try:
-                getattr(entry.repairable(self.graph), event)(*args)
-            except Exception:  # noqa: BLE001 - the entry goes, the update stays
-                logger.exception("match store: cannot repair %r after %s", key, event)
-                del self.entries[key]
-                current_obs().add("query.match_store.drops")
-
-    def abandon(self):
-        """Drop every entry (the batch failed midway)."""
-        if self.entries:
-            current_obs().add("query.match_store.drops", len(self.entries))
-            self.entries = OrderedDict()

@@ -7,8 +7,9 @@ from four cooperating pieces:
   ``ThreadingHTTPServer`` daemon: ``POST /query``, ``POST /update``,
   ``GET /counts``, ``GET /metrics``, ``GET /health``, graceful drain;
 - :mod:`repro.server.state` — versioned graph state under a
-  writer-preferring read/write lock, with mutations routed through a
-  maintained :class:`~repro.census.IncrementalCensus` when configured;
+  writer-preferring read/write lock; mutations go through the engine's
+  match store, and a maintained :class:`~repro.census.IncrementalCensus`
+  reading the same store refreshes its counts after each batch;
 - :mod:`repro.server.coalescing` — single-flight execution of
   concurrent identical queries (keyed on canonical query text + graph
   version + limits);

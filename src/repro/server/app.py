@@ -8,9 +8,10 @@ no new runtime dependencies):
   :class:`~repro.query.result.ResultTable` document out, tagged with
   the graph version it was computed at;
 - ``POST /update`` — batched edge/node mutations, applied atomically
-  under the write lock, routed through the maintained
-  :class:`~repro.census.IncrementalCensus` when one is configured, and
-  finished with ``refresh_snapshot()``;
+  under the write lock by the engine's match store (which repairs its
+  match lists, the maintained census' included), finished with
+  ``refresh_snapshot()`` and a refresh of the maintained
+  :class:`~repro.census.IncrementalCensus` when one is configured;
 - ``GET /counts`` — the maintained census' current counts (only when
   configured; always fresh, never recomputed);
 - ``GET /metrics`` — Prometheus text exposition of the server registry
@@ -103,7 +104,8 @@ class CensusServer:
         :class:`~repro.server.admission.AdmissionController`).
     maintain, maintain_k:
         Pattern name (from the engine catalog) and radius for a
-        maintained :class:`~repro.census.IncrementalCensus`; updates
+        maintained :class:`~repro.census.IncrementalCensus`, which reads
+        the pattern's matches from the engine's match store; updates
         then refresh its counts incrementally and ``GET /counts``
         serves them.
     trace_sample_rate, slow_query_ms, slow_query_log, trace_buffer, slow_buffer:
@@ -142,7 +144,7 @@ class CensusServer:
 
             maintained = IncrementalCensus(
                 graph, self.engine.catalog.get(maintain), maintain_k,
-                matcher=matcher,
+                matcher=matcher, store=self.engine.match_store,
             )
         self.state = GraphState(self.engine, maintained=maintained)
         self.defaults = ServerDefaults(
@@ -227,6 +229,7 @@ class CensusServer:
             "waiting": self.admission.waiting,
         }
         if self.state.maintained is not None:
+            # Recorded at the last refresh: /health takes no lock.
             doc["maintained_embeddings"] = self.state.maintained.num_embeddings()
         return 200, "application/json", encode(doc)
 

@@ -168,12 +168,12 @@ def parse_update_request(raw_body):
             raise BadRequest(
                 f"ops[{i}].op must be one of {list(UPDATE_OPS)}, got {kind!r}"
             )
-        if kind in ("add_edge", "remove_edge"):
-            if "u" not in op or "v" not in op:
-                raise BadRequest(f'ops[{i}] ({kind}) needs "u" and "v"')
-        else:
-            if "node" not in op:
-                raise BadRequest(f'ops[{i}] ({kind}) needs "node"')
+        fields = ("u", "v") if kind in ("add_edge", "remove_edge") else ("node",)
+        if any(field not in op for field in fields):
+            raise BadRequest(f'ops[{i}] ({kind}) needs "' + '" and "'.join(fields) + '"')
+        for field in fields:
+            if op[field] is None or isinstance(op[field], (list, dict)):
+                raise BadRequest(f"ops[{i}].{field} must be a string, number or boolean")
         attrs = op.get("attrs")
         if attrs is not None and not isinstance(attrs, dict):
             raise BadRequest(f"ops[{i}].attrs must be an object")

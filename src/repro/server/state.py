@@ -13,14 +13,15 @@ pieces enforce it:
   surfaced as :attr:`QueryEngine.graph_version`), bumped by every
   mutation and baked into cache and coalescing keys.
 
-Mutations are routed through :class:`repro.census.IncrementalCensus`
-when the server maintains one (the maintained counts then update with
-work proportional to the affected region, amortizing updates the same
-way coalescing amortizes queries) and finish with
-``engine.refresh_snapshot()`` so a CSR-backed engine re-freezes and the
-aggregate cache drops entries for the old version.  The engine's match
-store (:mod:`repro.query.match_store`) is repaired op by op alongside,
-so its match lists carry over to the new version.
+Mutations go through the engine's match store
+(:meth:`repro.query.match_store.MatchStore.apply`), which applies each
+op and repairs the stored match lists so they carry over to the new
+version, and finish with ``engine.refresh_snapshot()`` so a CSR-backed
+engine re-freezes and the aggregate cache drops entries for the old
+version.  A maintained :class:`repro.census.IncrementalCensus` reads
+its pattern's list from the same store and then refreshes only the
+counts in the affected region (amortizing updates the same way
+coalescing amortizes queries).
 """
 
 import threading
@@ -92,7 +93,7 @@ class _Side:
         return False
 
 
-#: Mutation operations POST /update accepts, mapped to appliers.
+#: Mutation operations POST /update accepts, named as the graph methods.
 UPDATE_OPS = ("add_node", "add_edge", "remove_edge", "remove_node")
 
 
@@ -106,9 +107,9 @@ class GraphState:
         ``base_graph`` is the mutable graph updates apply to.
     maintained:
         Optional :class:`~repro.census.IncrementalCensus` over the same
-        graph.  When present, edge/node mutations are routed *through*
-        it (so its embeddings and counts stay current incrementally)
-        instead of hitting the graph directly.
+        graph, refreshed after every batch.  Reading its matches from
+        ``engine.match_store`` it shares the batch's repair; from another
+        store, its refresh re-matches.
     """
 
     def __init__(self, engine, maintained=None):
@@ -133,21 +134,21 @@ class GraphState:
         ``refresh_snapshot()``, so concurrent queries see either the
         pre-batch or the post-batch graph, never a prefix.  The batch is
         checked whole before its first op runs, so a batch that would
-        fail changes nothing (and drops the stored match lists); a
-        passing batch has its stored lists repaired after every op.
+        fail changes nothing (and drops the stored match lists, as one
+        failing midway would); a passing batch has its stored lists
+        repaired after every op.
         """
-        engine = self.engine
+        engine, maintained = self.engine, self.maintained
         with self.lock.write():
-            repair = engine.match_store.begin_repair(self.graph, engine.graph_version)
             try:
                 self._check(ops)
-                for op in ops:
-                    self._apply_one(op, repair)
-            except BaseException:
-                repair.abandon()
+            except (GraphError, QueryError):
+                engine.match_store.clear()
                 raise
+            changed = engine.match_store.apply(self.graph, ops)
             engine.refresh_snapshot()
-            engine.match_store.commit(repair, engine.graph_version)
+            if maintained is not None:
+                maintained.refresh(changed)
             return engine.graph_version
 
     def _check(self, ops):
@@ -155,8 +156,11 @@ class GraphState:
 
         Replays the batch over an overlay of the graph: each op sees the
         nodes and edges that the batch's own earlier ops add or remove.
+        Ops the graph has no method for, and node ids it cannot hold
+        (its ``node_types``, when it declares them), are refused too.
         """
         graph = self.graph
+        node_types = getattr(graph, "node_types", object)
         directed = getattr(graph, "directed", False)
         nodes = {}  # node -> present after the ops checked so far
         edges = {}  # edge key -> present after the ops checked so far
@@ -176,6 +180,12 @@ class GraphState:
 
         for op in ops:
             kind = op["op"]
+            if kind not in UPDATE_OPS or not hasattr(graph, kind):
+                raise GraphError(f"{type(graph).__name__} has no {kind!r} update")
+            ends = (op["node"],) if kind.endswith("_node") else (op["u"], op["v"])
+            for node in ends:
+                if not isinstance(node, node_types):
+                    raise GraphError(f"{type(graph).__name__} cannot hold node id {node!r}")
             if kind == "add_node":
                 nodes[op["node"]] = True
             elif kind == "add_edge":
@@ -189,7 +199,7 @@ class GraphState:
                 if not has_edge(u, v):
                     raise EdgeNotFoundError(u, v)
                 edges[edge_key(u, v)] = False
-            elif kind == "remove_node":
+            else:  # remove_node
                 node = op["node"]
                 if self.maintained is not None:
                     raise QueryError(
@@ -202,28 +212,3 @@ class GraphState:
                 removed.add(node)
                 edges = {key: present for key, present in edges.items()
                          if node not in key}
-            else:  # protocol validation should have caught this
-                raise GraphError(f"unknown update op {kind!r}")
-
-    def _apply_one(self, op, repair):
-        kind = op["op"]
-        graph = self.graph
-        target = self.maintained if self.maintained is not None else graph
-        attrs = op.get("attrs", {})
-        if kind == "add_node":
-            node = op["node"]
-            existed = graph.has_node(node)
-            target.add_node(node, **attrs)
-            repair.apply("node_added", node, existed, attrs)
-        elif kind == "add_edge":
-            u, v = op["u"], op["v"]
-            existed = graph.has_edge(u, v)
-            new_nodes = [x for x in (u, v) if not graph.has_node(x)]
-            target.add_edge(u, v, **attrs)
-            repair.apply("edge_added", u, v, existed, attrs, new_nodes)
-        elif kind == "remove_edge":
-            target.remove_edge(op["u"], op["v"])
-            repair.apply("edge_removed", op["u"], op["v"])
-        else:  # remove_node; _check refused it under a maintained census
-            graph.remove_node(op["node"])
-            repair.apply("node_removed", op["node"])

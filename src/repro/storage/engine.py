@@ -32,6 +32,9 @@ from repro.storage.records import RecordLog
 class DiskGraph:
     """A graph stored in a single paged file."""
 
+    #: The node id types a record can hold.
+    node_types = (int, str)
+
     def __init__(self, pager, cache_pages=256, record_cache=1024):
         self._pager = pager
         self._log = RecordLog(pager, cache_pages=cache_pages)
@@ -183,7 +186,7 @@ class DiskGraph:
     # Node operations
     # ------------------------------------------------------------------
     def add_node(self, node, **attrs):
-        if not isinstance(node, (int, str)):
+        if not isinstance(node, self.node_types):
             raise GraphError(
                 f"DiskGraph node ids must be int or str, got {type(node).__name__}"
             )

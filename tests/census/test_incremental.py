@@ -1,6 +1,9 @@
 """Tests for incremental census maintenance."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -208,3 +211,22 @@ class TestReadAPI:
         snap[1] = 999
         assert inc[1] != 999
         assert len(inc) == 2
+
+
+def test_census_layer_does_not_load_the_query_engine():
+    # The private match store comes from repro.query.match_store; using
+    # it must not pull the query engine into the census layer.
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro.census import IncrementalCensus\n"
+        "from repro.graph.graph import Graph\n"
+        "from repro.matching.pattern import Pattern\n"
+        "p = Pattern('e'); p.add_edge('A', 'B')\n"
+        "g = Graph(); g.add_edge(1, 2)\n"
+        "IncrementalCensus(g, p, 1).add_edge(2, 3)\n"
+        "assert 'repro.query.engine' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -6,7 +6,9 @@ from repro.errors import QueryError
 from repro.graph.generators import preferential_attachment
 from repro.graph.graph import Graph
 from repro.lang.parser import parse_script
+from repro.obs import ObsContext, format_duration
 from repro.query.engine import QueryEngine
+from repro.query.explain import render_analyzed_plan
 
 
 def triangle_chain():
@@ -76,6 +78,28 @@ class TestExplainAnalyze:
         eng.execute_script(self.SCRIPT)
         assert current_obs().enabled is False
         assert eng.obs is None
+
+    def test_parallel_line_per_aggregate(self):
+        # Two parallel aggregates: each gets its own chunk count, workers
+        # and chunk figures, not totals pooled over both.
+        eng = QueryEngine(preferential_attachment(60, m=3, seed=3), workers=2)
+        query = ("SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 2)) AS c, "
+                 "COUNTP(path2-unlb, SUBGRAPH(ID, 1)) AS d FROM nodes")
+        ctx = ObsContext()
+        eng.obs = ctx
+        eng.execute(query)
+        root = ctx.roots[0]
+        expected = []
+        for output in ("c", "d"):
+            chunks = [s.duration for s in root.find("query.aggregate", output=output).walk()
+                      if s.name == "census.parallel.chunk"]
+            assert len(chunks) == 2
+            lo, mean, hi = (format_duration(x)
+                            for x in (min(chunks), sum(chunks) / 2, max(chunks)))
+            expected.append(f"PARALLEL {output}: 2 chunks over 2 workers; per-chunk "
+                            f"{lo} min / {mean} mean / {hi} max (critical path {hi})")
+        plan = render_analyzed_plan(eng, query, root)
+        assert [ln for ln in plan.splitlines() if ln.startswith("PARALLEL")] == expected
 
     def test_disk_graph_reports_storage(self, tmp_path):
         from repro.storage import DiskGraph

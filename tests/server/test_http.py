@@ -512,3 +512,71 @@ class TestMatchStoreServing:
         text = get(srv, "/metrics")[2].decode()
         assert "repro_query_match_store_entries 1" in text
         assert "repro_query_aggregate_cache_entries" in text
+
+    def test_maintained_census_shares_the_queried_entry(self, server):
+        # With --maintain P and P queried, P has one embedding set: the
+        # census reads the engine's entry and the batch repairs it once.
+        from repro.census import census
+
+        graph = preferential_attachment(40, m=3, seed=5)
+        srv = server(graph, maintain="clq3-unlb", maintain_k=1)
+        assert srv.state.maintained.store is srv.engine.match_store
+        assert post(srv, "/query", {"query": QUERY})[0] == 200
+        ops = [{"op": "add_edge", "u": 0, "v": 39},
+               {"op": "remove_edge", "u": 1, "v": 3}]
+        assert post(srv, "/update", {"ops": ops})[0] == 200
+        counters = json.loads(get(srv, "/metrics?format=json")[2])["counters"]
+        # The query hit the entry the census stored at start-up, and
+        # neither the update nor the census refresh matched again.
+        assert "query.match_store.misses" not in counters
+        assert counters["query.match_store.repairs"] == 1
+        assert len(srv.engine.match_store) == 1
+        counts = json.loads(get(srv, "/counts")[2])["counts"]
+        expected = census(graph, srv.engine.catalog.get("clq3-unlb"), 1,
+                          algorithm="nd-bas")
+        assert counts == {repr(n): c for n, c in expected.items()}
+        health = json.loads(get(srv, "/health")[2])
+        assert health["maintained_embeddings"] == srv.state.maintained.num_embeddings() > 0
+
+
+def graph_image(g):
+    return ({repr(n) for n in g.nodes()}, {frozenset(map(repr, e)) for e in g.edges()},
+            g.version)
+
+
+class TestUnsupportedUpdates:
+    """Ops the backend cannot apply answer 400 and change nothing."""
+
+    @pytest.mark.parametrize("ops", [
+        [{"op": "add_edge", "u": 0, "v": 3}, {"op": "remove_edge", "u": 0, "v": 1}],
+        [{"op": "add_edge", "u": 0, "v": 4}, {"op": "add_edge", "u": 1.5, "v": 2}],
+    ])
+    def test_disk_graph(self, server, tmp_path, ops):
+        from repro.storage import DiskGraph
+
+        path_graph = Graph()
+        for i in range(5):
+            path_graph.add_edge(i, i + 1)
+        DiskGraph.create(tmp_path / "g.db", graph=path_graph).close()
+        disk = DiskGraph.open(tmp_path / "g.db")
+        srv = server(disk)
+        before = graph_image(disk)
+        status, _, doc = post(srv, "/update", {"ops": ops})
+        assert status == 400, doc
+        assert graph_image(disk) == before
+        assert json.loads(get(srv, "/health")[2])["graph_version"] == before[2]
+
+    @pytest.mark.parametrize("bad", [
+        {"op": "add_node", "node": [1, 2]},
+        {"op": "add_node", "node": {"id": 1}},
+        {"op": "add_edge", "u": 0, "v": None},
+    ])
+    def test_non_scalar_ids(self, server, bad):
+        graph = preferential_attachment(30, m=2, seed=7)
+        srv = server(graph, backend="dict")
+        before = graph_image(graph)
+        status, _, doc = post(srv, "/update", {"ops": [
+            {"op": "add_edge", "u": 0, "v": 29}, bad]})
+        assert status == 400, doc
+        assert graph_image(graph) == before
+        assert json.loads(get(srv, "/health")[2])["graph_version"] == before[2]

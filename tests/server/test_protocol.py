@@ -134,6 +134,16 @@ class TestUpdateParsing:
         with pytest.raises(BadRequest, match=excerpt):
             parse_update_request(json.dumps(body).encode())
 
+    @pytest.mark.parametrize("op", [
+        {"op": "add_node", "node": [1, 2]},
+        {"op": "remove_node", "node": {"id": 1}},
+        {"op": "add_edge", "u": None, "v": 2},
+        {"op": "remove_edge", "u": 1, "v": [2]},
+    ])
+    def test_non_scalar_ids(self, op):
+        with pytest.raises(BadRequest, match="must be a string, number or boolean"):
+            parse_update_request(json.dumps({"ops": [op]}).encode())
+
 
 class TestResultDocument:
     def test_complete_result(self):

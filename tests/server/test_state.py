@@ -244,3 +244,88 @@ def test_batch_fails_exactly_when_sequential_ops_would(directed):
         batch = [random_op(rng, nodes) for _ in range(rng.randint(2, 6))]
         failures += check_like_sequential(g, batch) is not None
     assert 0 < failures < 1000
+
+
+class TestMaintainedCensusThroughState:
+    """Random batches through ``GraphState.apply``: after every batch the
+    maintained counts equal a fresh nd-bas census."""
+
+    NODES = 18
+
+    @staticmethod
+    def patterns():
+        from repro.matching import Pattern
+
+        tri = Pattern("tri")
+        tri.add_edge("A", "B")
+        tri.add_edge("B", "C")
+        tri.add_edge("A", "C")
+        wedge = Pattern("wedge")
+        wedge.add_node("A", label="a")
+        wedge.add_edge("A", "B")
+        wedge.add_edge("B", "C")
+        wedge.add_edge("A", "C", negated=True)
+        wedge.add_subpattern("mid", ["B"])
+        return {
+            "plain": (tri, 2, None, None),
+            "negated": (wedge, 1, None, None),
+            "subpattern": (wedge, 1, "mid", None),
+            "focal": (tri, 1, None, range(0, 18, 3)),
+        }
+
+    def random_batch(self, rng, g):
+        """2-5 ops, each valid after the ones before it; ids up to
+        ``NODES + 2`` so some ops create nodes that later ops use."""
+        shadow = g.copy()
+        batch = []
+        for _ in range(rng.randint(2, 5)):
+            kind = rng.choice(["add_node", "add_edge", "add_edge", "remove_edge",
+                               "remove_edge"])
+            edges = sorted(shadow.edges())
+            if kind == "remove_edge" and edges:
+                u, v = rng.choice(edges)
+                op = edge("remove_edge", u, v)
+                shadow.remove_edge(u, v)
+            elif kind == "add_node":
+                op = node("add_node", rng.randrange(self.NODES + 2))
+                if rng.random() < 0.7:
+                    op["attrs"] = {"label": rng.choice("ab")}
+                shadow.add_node(op["node"], **op.get("attrs", {}))
+            else:
+                u, v = (rng.choice(edges) if edges and rng.random() < 0.2
+                        else rng.sample(range(self.NODES + 2), 2))
+                op = edge("add_edge", u, v)
+                if rng.random() < 0.4:
+                    op["attrs"] = {"kind": rng.choice("xy")}
+                shadow.add_edge(u, v, **op.get("attrs", {}))
+            batch.append(op)
+        return batch
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("shape", ["plain", "negated", "subpattern", "focal"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_counts_equal_fresh_census(self, backend, shape, shared):
+        from repro.census import IncrementalCensus, census
+
+        pattern, k, subpattern, focal = self.patterns()[shape]
+        rng = random.Random(f"{backend}-{shape}-{shared}")
+        g = preferential_attachment(self.NODES, m=2, seed=rng.randrange(100))
+        for n in g.nodes():
+            g.add_node(n, label=rng.choice("ab"))
+        engine = QueryEngine(g, backend=backend)
+        engine.define_pattern(pattern)
+        maintained = IncrementalCensus(
+            g, pattern, k, focal_nodes=focal, subpattern=subpattern,
+            store=engine.match_store if shared else None,
+        )
+        state = GraphState(engine, maintained=maintained)
+        query = f"SELECT ID, COUNTP({pattern.name}, SUBGRAPH(ID, 1)) AS c FROM nodes"
+        for step in range(10):
+            if step % 3 == 0:
+                engine.execute(query)  # the census' entry, when shared
+            state.apply(self.random_batch(rng, g))
+            expected = census(g, pattern, k, focal_nodes=focal, subpattern=subpattern,
+                              algorithm="nd-bas")
+            assert maintained.snapshot() == expected, step
+        assert engine.execute(query).rows == \
+            QueryEngine(g.copy(), catalog=engine.catalog).execute(query).rows

@@ -23,7 +23,9 @@ All algorithms share one signature and one result shape
 """
 
 from repro.census.approx import approximate_census, sample_size_for_error
-from repro.census.base import CensusMatch, CensusRequest, prepare_matches
+from repro.census.base import (
+    CensusMatch, CensusRequest, global_matches, prepare_matches, validate_arguments,
+)
 from repro.census.incremental import IncrementalCensus
 from repro.census.multi import multi_census
 from repro.census.centers import CenterIndex, select_centers
@@ -38,6 +40,7 @@ from repro.census.pmi import PatternMatchIndex
 from repro.census.pt_bas import pt_bas_census
 from repro.census.pt_opt import PTOptions, pt_opt_census, pt_rnd_census
 from repro.census.topk import census_topk
+from repro.obs import current_obs
 
 ALGORITHMS = {
     "nd-bas": nd_bas_census,
@@ -71,7 +74,11 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
         (the ``COUNTSP`` semantics).
     algorithm:
         One of ``"auto"``, ``"nd-bas"``, ``"nd-diff"``, ``"nd-pvot"``,
-        ``"pt-bas"``, ``"pt-opt"``, ``"pt-rnd"``.
+        ``"pt-bas"``, ``"pt-opt"``, ``"pt-rnd"``.  ``"auto"`` picks
+        ND-PVOT or PT-BAS by :func:`plan_census` (serial runs match
+        first and adopt the list) and records the pick as a
+        ``planner.chose.<algorithm>`` counter and a ``planner`` span
+        carrying the match and focal counts.
     workers:
         Number of parallel workers for the counting phase.  ``1``
         (the default) runs the classic serial algorithm; larger values
@@ -82,18 +89,26 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
         A global match list to adopt instead of running the matching
         pass, or a zero-argument callable returning one.  The callable
         runs only when the chosen algorithm adopts matches (every one
-        but nd-bas; see :data:`ADOPTS_MATCHES`), after the planner has
-        picked it.  Without a subpattern the list may hold automorphic
-        embeddings; the census counts each subgraph once.
+        but nd-bas; see :data:`ADOPTS_MATCHES`), before a serial
+        ``"auto"`` plan and otherwise after the algorithm is known.
+        Without a subpattern the list may hold automorphic embeddings;
+        the census counts each subgraph once.
 
     Returns
     -------
     dict mapping each focal node to its count (zeros included).
     """
     if algorithm == "auto":
-        algorithm = choose_algorithm(
-            graph, pattern, k, focal_nodes, subpattern, workers=workers
-        )
+        obs = current_obs()
+        with obs.span("planner") as span:
+            algorithm, focal_nodes, matches, num_matches = plan_census(
+                graph, pattern, k, focal_nodes, subpattern, workers, matches,
+                options.get("matcher", "cn"),
+            )
+            span.set("algorithm", algorithm)
+            span.set("num_matches", num_matches)
+            span.set("focal", graph.num_nodes if focal_nodes is None else len(focal_nodes))
+        obs.add("planner.chose." + algorithm.replace("-", "_"))
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown census algorithm {algorithm!r}; expected one of "
@@ -112,6 +127,32 @@ def census(graph, pattern, k, focal_nodes=None, subpattern=None, algorithm="auto
         )
     fn = ALGORITHMS[algorithm]
     return fn(graph, pattern, k, focal_nodes=focal_nodes, subpattern=subpattern, **options)
+
+
+def plan_census(graph, pattern, k, focal_nodes=None, subpattern=None, workers=1,
+                matches=None, matcher="cn"):
+    """Resolve ``algorithm="auto"``.
+
+    Returns ``(algorithm, focal_nodes, matches, num_matches)``.  A serial
+    plan needs the exact match count, so the global match list (the
+    adopted one, the provider's, or a fresh matching pass) is resolved
+    first and returned for the chosen algorithm to adopt: matching still
+    runs once.  A parallel plan is ND-PVOT without matching first
+    (``num_matches`` is ``None``).  A focal iterator comes back as a list.
+    """
+    validate_arguments(pattern, k, subpattern)
+    if focal_nodes is not None and not hasattr(focal_nodes, "__len__"):
+        focal_nodes = list(focal_nodes)
+    num_matches = None
+    if workers is not None and workers <= 1:
+        if callable(matches):
+            matches = matches()
+        elif matches is None:
+            matches = global_matches(graph, pattern, subpattern, matcher)
+        num_matches = len(matches)
+    algorithm = choose_algorithm(graph, pattern, k, focal_nodes, subpattern,
+                                 num_matches=num_matches, workers=workers)
+    return algorithm, focal_nodes, matches, num_matches
 
 
 __all__ = [
@@ -138,6 +179,7 @@ __all__ = [
     "chunk_focal_nodes",
     "default_workers",
     "choose_algorithm",
+    "plan_census",
     "census_topk",
     "approximate_census",
     "sample_size_for_error",

@@ -35,18 +35,24 @@ class CensusMatch:
         return f"<CensusMatch #{self.index} nodes={sorted(map(repr, self.nodes))}>"
 
 
+def validate_arguments(pattern, k, subpattern=None):
+    """Raise :class:`CensusError` for a negative radius or an unknown
+    subpattern (and whatever ``pattern.validate()`` raises)."""
+    if k < 0:
+        raise CensusError(f"neighborhood radius must be >= 0, got {k}")
+    pattern.validate()
+    if subpattern is not None and subpattern not in pattern.subpatterns:
+        raise CensusError(
+            f"pattern {pattern.name!r} has no subpattern {subpattern!r} "
+            f"(has: {sorted(pattern.subpatterns)})"
+        )
+
+
 class CensusRequest:
     """Validated, normalized census arguments shared by all algorithms."""
 
     def __init__(self, graph, pattern, k, focal_nodes=None, subpattern=None):
-        if k < 0:
-            raise CensusError(f"neighborhood radius must be >= 0, got {k}")
-        pattern.validate()
-        if subpattern is not None and subpattern not in pattern.subpatterns:
-            raise CensusError(
-                f"pattern {pattern.name!r} has no subpattern {subpattern!r} "
-                f"(has: {sorted(pattern.subpatterns)})"
-            )
+        validate_arguments(pattern, k, subpattern)
         self.graph = graph
         self.pattern = pattern
         self.k = k
@@ -69,6 +75,16 @@ class CensusRequest:
         return {n: 0 for n in self.focal_nodes}
 
 
+def global_matches(graph, pattern, subpattern=None, matcher="cn"):
+    """The global match list a census of ``pattern`` adopts.
+
+    Distinct embeddings are needed when a subpattern is present so that
+    automorphic placements of the subpattern survive; without one, one
+    embedding per match subgraph.
+    """
+    return find_matches(graph, pattern, method=matcher, distinct=subpattern is None)
+
+
 def prepare_matches(request, matcher="cn", matches=None):
     """Find (or adopt) global pattern matches and convert them into
     census counting units, deduplicated appropriately.
@@ -76,12 +92,8 @@ def prepare_matches(request, matcher="cn", matches=None):
     With a subpattern, embeddings are deduplicated by (subgraph,
     subpattern image); without one, by subgraph.
     """
-    pattern = request.pattern
     if matches is None:
-        # Distinct embeddings are needed when a subpattern is present so
-        # that automorphic placements of the subpattern survive.
-        distinct = request.subpattern is None
-        matches = find_matches(request.graph, pattern, method=matcher, distinct=distinct)
+        matches = global_matches(request.graph, request.pattern, request.subpattern, matcher)
 
     containment = request.containment_vars()
     units = []

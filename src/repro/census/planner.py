@@ -1,37 +1,119 @@
-"""Census algorithm selection, distilled from the paper's findings.
+"""Census algorithm selection by a cost over the exact match count.
 
-Section V observes:
+Section V observes that selectivity and focal-set size decide which
+family wins: unselective patterns favor the node-driven pivot algorithm
+(Figure 4(c)), selective ones the pattern-driven family (Figure 4(d)),
+and only node-driven cost scales with the focal set (Figure 4(e)).
 
-- unselective patterns (unlabeled, many matches) favor the node-driven
-  pivot algorithm (Figure 4(c));
-- selective patterns (labeled) favor the pattern-driven family
-  (Figure 4(d));
-- node-driven cost scales with focal-node selectivity while
-  pattern-driven cost does not (Figure 4(e)).
+The planner ranks the two algorithms that won every measured case of
+their family, ND-PVOT and PT-BAS, by the k-hop balls each one walks:
 
-The planner turns those findings into a cheap cost model: the expected
-match count is estimated from label frequencies and average degree (the
-classic independence estimate — each pattern edge survives with
-probability ``avg_degree / n``, each label constraint with the label's
-frequency), and the estimate decides between the two families.  No
-matcher is ever run during planning.
+- ND-PVOT walks one ball per focal node: cost ``F``;
+- PT-BAS walks one ball per containment node of every match: cost
+  ``alpha * M * |V_c|``, where ``M`` is the exact match count and
+  ``|V_c|`` the number of pattern nodes that must lie in the
+  neighborhood (all of them unless a subpattern is counted).
+
+The ball size cancels out, so PT-BAS is chosen iff
+``alpha * M * |V_c| < F``.  ``alpha`` is a per-backend constant
+(:data:`ALPHA`): the price of one PT-BAS ball (a BFS plus a set
+intersection) in units of one ND-PVOT ball (a BFS plus index probes).
+``M`` is free: both candidates start from the same global matching
+pass, so :func:`repro.census.census` runs it before planning and hands
+the list to the chosen algorithm.
+
+Calibration: census phase only (matches adopted), best of 3, CPython
+3.11 on a 2-CPU x86-64 VM, 123 cases per backend:
+``labeled_preferential_attachment`` graphs (4 labels) of 500, 1000
+and 2000 nodes with m = 3 and 5 (generator seeds 1-5), the ``clq3``,
+``sqr`` and ``path2`` patterns, k = 1-3 and focal fractions 0.1 / 0.5 /
+1.0.  A case's break-even ``alpha`` is the one at which both algorithms
+take the same time, ``t_pt_bas * F / (t_nd_pvot * M * |V|)``; it only
+matters where ``M * |V| < F`` (46 cases per backend).
+
+=======  ==============  ========================  =====  ===============
+backend  PT-BAS faster   break-even alpha          alpha  wrong picks
+                         (median, range)                  (worst loss)
+=======  ==============  ========================  =====  ===============
+dict     32 of 123       2.4, 1.25-5.85            2      5 (1.75x)
+csr      3 of 123 (k=1)  25.5, 3.9-103             40     3 (2.05x, 2 ms)
+=======  ==============  ========================  =====  ===============
+
+On dict, ``alpha`` = 1.5, 2.5 and 3 pick wrong 8, 7 and 9 times; the
+five misses at 2 all lie within 1.75x of break-even.  The work
+counters agree: a PT-BAS ball scans about 5.2 adjacency entries
+(``census.pt_bas.edge_visits``) per node an ND-PVOT ball expands
+(``census.nd_pvot.bfs_expansions``); an edge visit costs 197 ns on
+dict and 167 ns on CSR, an ND-PVOT expansion or containment check
+335 ns on dict but 36 ns on CSR, where ND-PVOT runs a vectorized
+kernel over every focal node at once while PT-BAS still intersects
+Python sets per match.
+
+PT-OPT and ND-DIFF are not candidates: in every measured case ND-DIFF
+lost to ND-PVOT and PT-OPT to PT-BAS.  With ``workers > 1`` the plan is
+ND-PVOT without matching first: focal chunks partition node-driven work
+cleanly, while pattern-driven work repeats per chunk.
 """
 
+from repro.census.base import global_matches
+from repro.graph.csr import CSRGraph
 from repro.graph.graph import LABEL_KEY
+
+#: Price of one PT-BAS ball in ND-PVOT balls, per backend.
+ALPHA = {"dict": 2.0, "csr": 40.0}
+
+
+def backend_of(graph):
+    """``"csr"`` for a CSR snapshot, ``"dict"`` for any other graph."""
+    return "csr" if isinstance(graph, CSRGraph) else "dict"
+
+
+def predicted_costs(graph, pattern, num_matches, focal_count, subpattern=None):
+    """Predicted cost of each candidate, in ND-PVOT k-hop balls."""
+    if subpattern is None:
+        width = len(pattern.nodes)
+    else:
+        width = len(pattern.subpatterns[subpattern])
+    return {
+        "nd-pvot": float(focal_count),
+        "pt-bas": ALPHA[backend_of(graph)] * num_matches * width,
+    }
+
+
+def choose_algorithm(graph, pattern, k, focal_nodes=None, subpattern=None,
+                     num_matches=None, workers=1):
+    """Pick a census algorithm name for :func:`repro.census.census`.
+
+    ``num_matches`` is the exact global match count (one per distinct
+    subgraph, or per embedding with a subpattern); when omitted the
+    planner runs the matching pass itself.  ``workers > 1`` (or
+    ``None``, the CPU count) always gives ND-PVOT.
+    """
+    if workers is None or workers > 1:
+        return "nd-pvot"
+    if focal_nodes is None:
+        focal_count = graph.num_nodes
+    else:
+        focal_count = len(focal_nodes if hasattr(focal_nodes, "__len__")
+                          else list(focal_nodes))
+    if num_matches is None:
+        num_matches = len(global_matches(graph, pattern, subpattern))
+    costs = predicted_costs(graph, pattern, num_matches, focal_count, subpattern)
+    return "pt-bas" if costs["pt-bas"] < costs["nd-pvot"] else "nd-pvot"
 
 
 def estimate_matches(graph, pattern):
     """Independence estimate of the number of match subgraphs.
 
     ``n^|V| x prod(label selectivities) x prod(deg/n per positive edge)
-    / |Aut|-ish`` — with the automorphism factor approximated by 1
-    (cheap and irrelevant to the ordering the planner needs).  Returns
-    a float; 0.0 when a required label is absent.
+    / |Aut|-ish`` — with the automorphism factor approximated by 1.
+    Returns a float; 0.0 when a required label is absent.  Used to
+    explain pairwise strategies; single-node plans use exact counts.
     """
     n = graph.num_nodes
     if n == 0:
         return 0.0
-    # Label histogram (one pass; planners run once per query).
+    # Label histogram (one pass).
     label_counts = {}
     for node in graph.nodes():
         label = graph.node_attr(node, LABEL_KEY)
@@ -58,41 +140,3 @@ def estimate_matches(graph, pattern):
     ))
     estimate *= 0.5 ** non_label_predicates
     return estimate
-
-
-def choose_algorithm(graph, pattern, k, focal_nodes=None, subpattern=None,
-                     match_threshold_fraction=0.05, workers=1):
-    """Pick a census algorithm name for :func:`repro.census.census`.
-
-    Pattern-driven evaluation pays per match; node-driven pays per
-    focal node.  The estimated match count is compared against the
-    focal-node count: few expected matches -> pattern-driven (PT-OPT),
-    otherwise node-driven (ND-PVOT).  Very small focal sets always go
-    node-driven — touching only those nodes beats any global strategy.
-
-    ``workers > 1`` biases toward node-driven: focal chunks partition
-    node-driven work cleanly, while pattern-driven traversals repeat
-    per-cluster setup in every chunk, so parallel speedup favors
-    ND-PVOT even where a serial plan would pick PT-OPT.
-    """
-    num_nodes = max(1, graph.num_nodes)
-    if focal_nodes is None:
-        focal_count = num_nodes
-    else:
-        focal = focal_nodes if hasattr(focal_nodes, "__len__") else list(focal_nodes)
-        focal_count = len(focal)
-
-    if focal_count <= max(2, match_threshold_fraction * num_nodes):
-        return "nd-pvot"
-
-    if workers is None or workers > 1:
-        return "nd-pvot"
-
-    # Pattern-driven work per match (a bounded multi-source traversal)
-    # costs several times node-driven work per focal node (one BFS with
-    # bulk-added index hits), so pattern-driven only wins when matches
-    # are several times scarcer than focal nodes.
-    expected_matches = estimate_matches(graph, pattern)
-    if 4 * expected_matches <= focal_count:
-        return "pt-opt"
-    return "nd-pvot"

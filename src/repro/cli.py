@@ -151,8 +151,23 @@ def _cmd_serve(args, out):
     from repro.server import CensusServer
 
     graph = _load_graph(args.graph)
+    catalog = None
+    if args.patterns:
+        from repro.lang.catalog import standard_catalog
+        from repro.lang.parser import parse_script
+        from repro.matching.pattern import Pattern
+
+        catalog = standard_catalog()
+        with open(args.patterns) as f:
+            for statement in parse_script(f.read()):
+                if not isinstance(statement, Pattern):
+                    raise SystemExit(
+                        "--patterns file may only contain PATTERN statements"
+                    )
+                catalog.register(statement)
     server = CensusServer(
         graph,
+        catalog=catalog,
         host=args.host,
         port=args.port,
         backend=args.backend,
@@ -177,17 +192,6 @@ def _cmd_serve(args, out):
         trace_buffer=args.trace_buffer,
         slow_buffer=args.slow_buffer,
     )
-    if args.patterns:
-        with open(args.patterns) as f:
-            from repro.lang.parser import parse_script
-            from repro.matching.pattern import Pattern
-
-            for statement in parse_script(f.read()):
-                if not isinstance(statement, Pattern):
-                    raise SystemExit(
-                        "--patterns file may only contain PATTERN statements"
-                    )
-                server.engine.catalog.register(statement)
     print(f"serving {args.graph} on http://{server.host}:{server.port} "
           f"(graph version {server.state.version}); SIGTERM drains", file=out)
     out.flush()

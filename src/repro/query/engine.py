@@ -422,9 +422,6 @@ class QueryEngine:
             target = hood.targets[0]
             pos = self._alias_position(target, aliases)
             focal = {binding[pos] for binding in bindings}
-            stored = None
-            if self._versioned:
-                stored = functools.partial(self._stored_matches, agg, pattern)
             outcome = self._cached(
                 ("subgraph", agg.pattern_name, agg.subpattern_name, hood.k,
                  self.algorithm, frozenset(focal)),
@@ -439,7 +436,7 @@ class QueryEngine:
                     workers=self.workers,
                     degrade=degrade,
                     seed=self.seed,
-                    matches=stored,
+                    matches=self._match_provider(agg, pattern),
                 ),
             )
             counts = outcome.counts
@@ -463,6 +460,14 @@ class QueryEngine:
             ),
         )
         return {b: counts[(b[pos1], b[pos2])] for b in bindings}, None
+
+    def _match_provider(self, agg, pattern):
+        """A callable returning the aggregate's global match list from
+        the match store; ``None`` when the graph has no version to key
+        the store by."""
+        if not self._versioned:
+            return None
+        return functools.partial(self._stored_matches, agg, pattern)
 
     def _stored_matches(self, agg, pattern):
         """The aggregate's global match list, from the match store."""

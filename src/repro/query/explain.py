@@ -9,14 +9,25 @@ wall-time and operation counts from the execution trace.  Used by
 ``QueryEngine.explain`` / ``QueryEngine.explain_analyze`` and the CLI.
 """
 
-from repro.census.planner import choose_algorithm
+import random
+
+from repro.census import plan_census
+from repro.census.planner import backend_of, predicted_costs
 from repro.lang.ast import Aggregate
 from repro.obs import ObsContext, format_duration
 from repro.query.statistics import GraphStatistics
 
 
-def explain_query(engine, query):
-    """Return a human-readable plan for ``query`` on ``engine``."""
+def explain_query(engine, query, root=None):
+    """Return a human-readable plan for ``query`` on ``engine``.
+
+    An ``auto`` census is planned as ``execute`` plans it: on the focal
+    rows of the query's WHERE (same seed) and the exact match count,
+    taken from the engine's match store so a following ``execute``
+    reuses the list.  With ``root``, the ``query.execute`` span of a
+    finished run, each aggregate shows the plan recorded on its
+    ``planner`` span instead, and nothing is planned or matched.
+    """
     if isinstance(query, str):
         from repro.lang.parser import parse_query
 
@@ -37,6 +48,7 @@ def explain_query(engine, query):
             f"{' filtered by WHERE' if query.where is not None else ''}"
         )
 
+    bindings = None
     for item in query.columns:
         if not isinstance(item, Aggregate):
             continue
@@ -44,11 +56,23 @@ def explain_query(engine, query):
         hood = item.neighborhood
         if hood.kind == "subgraph":
             workers = getattr(engine, "workers", 1)
-            if engine.algorithm == "auto":
-                algorithm = choose_algorithm(
-                    engine.graph, pattern, hood.k, workers=workers
-                )
-                reason = _planner_reason(engine.graph, pattern, algorithm)
+            if engine.algorithm == "auto" and root is not None:
+                # A replay never plans: matching here could take as long
+                # as the run being explained.
+                plan = _recorded_plan(root, item.output_name)
+                if plan is None:
+                    algorithm = "auto"
+                    reason = ("not planned in this run: served from the aggregate "
+                              "cache, or stopped before the plan")
+                else:
+                    algorithm = plan["algorithm"]
+                    reason = _planner_reason(engine.graph, pattern, item.subpattern_name, plan)
+            elif engine.algorithm == "auto":
+                if bindings is None:
+                    bindings = _bindings(engine, query)
+                plan = _plan_aggregate(engine, item, pattern, bindings, workers)
+                algorithm = plan["algorithm"]
+                reason = _planner_reason(engine.graph, pattern, item.subpattern_name, plan)
             else:
                 algorithm = engine.algorithm
                 reason = "pinned by engine configuration"
@@ -91,13 +115,49 @@ def explain_query(engine, query):
     return "\n".join(lines)
 
 
-def _planner_reason(graph, pattern, algorithm):
-    from repro.census.planner import estimate_matches
+def _bindings(engine, query):
+    """The row bindings ``execute`` scans: same WHERE, same seed."""
+    aliases = [t.alias for t in query.tables]
+    rng = random.Random(engine.seed)
+    if query.is_pair_query:
+        return aliases, engine._pair_bindings(query, aliases, rng)
+    return aliases, engine._node_bindings(query, aliases[0], rng)
 
-    expected = estimate_matches(graph, pattern)
-    if algorithm == "pt-opt":
-        return f"~{expected:.0f} expected matches -> pattern-driven"
-    return f"~{expected:.0f} expected matches -> node-driven pivot index"
+
+def _plan_aggregate(engine, agg, pattern, bindings, workers):
+    """Plan one ``auto`` census as ``execute`` does: on the aggregate's
+    focal nodes and the match store's list."""
+    aliases, rows = bindings
+    pos = engine._alias_position(agg.neighborhood.targets[0], aliases)
+    focal = sorted({row[pos] for row in rows}, key=repr)
+    algorithm, _, _, num_matches = plan_census(
+        engine.graph, pattern, agg.neighborhood.k, focal, agg.subpattern_name,
+        workers, engine._match_provider(agg, pattern), engine.matcher,
+    )
+    return {"algorithm": algorithm, "num_matches": num_matches, "focal": len(focal)}
+
+
+def _recorded_plan(root, output):
+    """The ``planner`` span attrs of aggregate ``output`` under ``root``,
+    or ``None`` when no plan was made or it did not finish."""
+    span = root.find("query.aggregate", output=output)
+    planner = span.find("planner") if span is not None else None
+    if planner is None or "algorithm" not in planner.attrs:
+        return None
+    return planner.attrs
+
+
+def _planner_reason(graph, pattern, subpattern, plan):
+    family = ("pattern-driven per-match BFS" if plan["algorithm"] == "pt-bas"
+              else "node-driven pivot index")
+    if plan["num_matches"] is None:
+        return f"F={plan['focal']} focal nodes over parallel workers -> {family}"
+    costs = predicted_costs(graph, pattern, plan["num_matches"], plan["focal"], subpattern)
+    ranked = ", ".join(f"{name} {cost:.0f}" for name, cost in costs.items())
+    return (
+        f"M={plan['num_matches']} matches, F={plan['focal']} focal nodes; "
+        f"predicted cost ({backend_of(graph)}): {ranked} -> {family}"
+    )
 
 
 def _pairwise_reason(graph, pattern, strategy):
@@ -201,7 +261,7 @@ def render_analyzed_plan(engine, query, root):
 
         query = parse_query(query)
     lines = []
-    for line in explain_query(engine, query).splitlines():
+    for line in explain_query(engine, query, root).splitlines():
         lines.append(_annotate_plan_line(line, root))
     if root is not None:
         lines.extend(_execution_summary(root))

@@ -114,6 +114,11 @@ class CensusServer:
         ``GET /debug/traces``, the slow-query capture threshold in
         milliseconds (``None`` disables), an optional JSONL path that
         slow captures append to, and the two ring-buffer capacities.
+    catalog:
+        The engine's :class:`~repro.lang.catalog.PatternCatalog`
+        (default: the standard patterns).  ``maintain`` names a pattern
+        in it, so patterns that redefine a standard one must be in it
+        before the server is built.
     """
 
     def __init__(self, graph, host="127.0.0.1", port=8080, backend="csr",
@@ -122,7 +127,7 @@ class CensusServer:
                  max_results=None, degrade=False, max_active=4, queue_depth=16,
                  retry_after=1.0, maintain=None, maintain_k=2,
                  trace_sample_rate=0.0, slow_query_ms=None, slow_query_log=None,
-                 trace_buffer=256, slow_buffer=64):
+                 trace_buffer=256, slow_buffer=64, catalog=None):
         self.registry = MetricsRegistry()
         self.telemetry = Telemetry(
             registry=self.registry, sample_rate=trace_sample_rate,
@@ -134,7 +139,7 @@ class CensusServer:
         # its own ObsContext over ``self.registry`` (see
         # repro.obs.telemetry), and pinning would make the engine ignore it.
         self.engine = QueryEngine(
-            graph, seed=seed, algorithm=algorithm,
+            graph, catalog=catalog, seed=seed, algorithm=algorithm,
             pairwise_algorithm=pairwise_algorithm, matcher=matcher,
             cache=cache, obs=None, backend=backend, workers=workers,
         )

@@ -279,6 +279,7 @@ class TestEntryPoints:
         serial_choice = choose_algorithm(g, pattern, 2)
         parallel_choice = choose_algorithm(g, pattern, 2, workers=4)
         assert parallel_choice == "nd-pvot"
-        # The labeled triangle is selective, so the serial planner goes
-        # pattern-driven — exactly the case the workers bias flips.
-        assert serial_choice == "pt-opt"
+        # The labeled triangle is selective (alpha x M x 3 < 60 focal
+        # nodes), so the serial planner goes pattern-driven: exactly
+        # the case the workers bias flips.
+        assert serial_choice == "pt-bas"

@@ -1,9 +1,18 @@
-"""Tests for the rule-based algorithm planner."""
+"""Tests for the exact-count cost planner."""
+
+import random
+
+import pytest
 
 from repro.census import ALGORITHMS, census
-from repro.census.planner import choose_algorithm
+from repro.census.planner import ALPHA, choose_algorithm, predicted_costs
+from repro.graph.csr import freeze
 from repro.graph.generators import labeled_preferential_attachment, preferential_attachment
+from repro.graph.graph import Graph
+from repro.lang.catalog import standard_catalog
+from repro.matching import find_matches
 from repro.matching.pattern import Pattern
+from repro.obs import ObsContext
 
 
 def unlabeled_triangle():
@@ -25,14 +34,43 @@ def labeled_triangle():
     return p
 
 
+@pytest.fixture(scope="module")
+def labeled500():
+    return labeled_preferential_attachment(500, m=5, seed=0)
+
+
+@pytest.fixture(scope="module")
+def labeled2000():
+    return labeled_preferential_attachment(2000, m=5, seed=0)
+
+
+def chosen(fn):
+    """Run ``fn`` under an obs context; return its value and the one
+    ``planner.chose.*`` counter it recorded."""
+    with ObsContext() as obs:
+        value = fn()
+    picks = [name for name in obs.registry.snapshot()["counters"]
+             if name.startswith("planner.chose.")]
+    assert len(picks) == 1, picks
+    return value, picks[0][len("planner.chose."):].replace("_", "-")
+
+
 class TestChoices:
     def test_unselective_pattern_goes_node_driven(self):
         g = preferential_attachment(100, m=2, seed=0)
         assert choose_algorithm(g, unlabeled_triangle(), 2) == "nd-pvot"
 
-    def test_selective_pattern_goes_pattern_driven(self):
-        g = labeled_preferential_attachment(100, m=2, seed=0)
-        assert choose_algorithm(g, labeled_triangle(), 2) == "pt-opt"
+    def test_selective_pattern_goes_pattern_driven(self, labeled500):
+        # 56 labeled triangles x 3 nodes x alpha 2 = 336 PT-BAS balls
+        # against 500 focal balls.
+        clq3 = standard_catalog().get("clq3")
+        assert len(find_matches(labeled500, clq3)) == 56
+        assert choose_algorithm(labeled500, clq3, 2) == "pt-bas"
+
+    def test_larger_labeled_patterns_go_node_driven(self, labeled500):
+        catalog = standard_catalog()
+        for name in ("sqr", "path2"):
+            assert choose_algorithm(labeled500, catalog.get(name), 2) == "nd-pvot", name
 
     def test_tiny_focal_set_goes_node_driven(self):
         g = labeled_preferential_attachment(100, m=2, seed=0)
@@ -47,6 +85,135 @@ class TestChoices:
         auto = census(g, labeled_triangle(), 2, algorithm="auto")
         ref = census(g, labeled_triangle(), 2, algorithm="nd-bas")
         assert auto == ref
+
+    def test_dict_2000_node_full_focal_triangle_goes_pattern_driven(self, labeled2000):
+        clq3 = standard_catalog().get("clq3")
+        for k in (1, 2, 3):
+            assert choose_algorithm(labeled2000, clq3, k) == "pt-bas"
+        # A small focal set pays fewer ND-PVOT balls than the matches'.
+        assert choose_algorithm(labeled2000, clq3, 3, focal_nodes=range(200)) == "nd-pvot"
+
+    def test_csr_constant_keeps_node_driven(self, labeled500, labeled2000):
+        # The indexed ND-PVOT kernel won every measured CSR case.
+        catalog = standard_catalog()
+        for graph in (labeled500, labeled2000):
+            csr = freeze(graph)
+            for name in ("clq3", "sqr", "path2"):
+                for k in (1, 2, 3):
+                    assert choose_algorithm(csr, catalog.get(name), k) == "nd-pvot"
+
+
+class TestCostModel:
+    def test_larger_focal_set_never_flips_back_to_node_driven(self, labeled500):
+        p = labeled_triangle()
+        for m in (0, 1, 5, 40, 90):
+            picks = [choose_algorithm(labeled500, p, 2, focal_nodes=range(f), num_matches=m)
+                     for f in range(0, 501, 10)]
+            first = picks.index("pt-bas") if "pt-bas" in picks else len(picks)
+            assert set(picks[first:]) <= {"pt-bas"}, m
+            assert set(picks[:first]) <= {"nd-pvot"}, m
+
+    def test_more_matches_never_flip_to_pattern_driven(self, labeled500):
+        p = labeled_triangle()
+        for f in (1, 10, 100, 500):
+            focal = range(f)
+            picks = [choose_algorithm(labeled500, p, 2, focal_nodes=focal, num_matches=m)
+                     for m in range(0, 200, 3)]
+            first = picks.index("nd-pvot") if "nd-pvot" in picks else len(picks)
+            assert set(picks[first:]) <= {"nd-pvot"}, f
+
+    def test_rule_is_alpha_times_matches_times_width_against_focal(self, labeled500):
+        p = labeled_triangle()
+        alpha = ALPHA["dict"]
+        # Break-even at F = alpha * M * 3.
+        m = 20
+        edge = int(alpha * m * 3)
+        assert choose_algorithm(labeled500, p, 2, focal_nodes=range(edge),
+                                num_matches=m) == "nd-pvot"
+        assert choose_algorithm(labeled500, p, 2, focal_nodes=range(edge + 1),
+                                num_matches=m) == "pt-bas"
+        assert predicted_costs(labeled500, p, m, edge) == {
+            "nd-pvot": edge, "pt-bas": alpha * m * 3,
+        }
+
+    def test_subpattern_width_counts_containment_nodes(self, labeled500):
+        p = labeled_triangle()
+        p.add_subpattern("apex", ["A"])
+        assert predicted_costs(labeled500, p, 10, 100, subpattern="apex")["pt-bas"] == (
+            ALPHA["dict"] * 10
+        )
+
+    def test_parallel_workers_go_node_driven(self, labeled500):
+        clq3 = standard_catalog().get("clq3")
+        assert choose_algorithm(labeled500, clq3, 2) == "pt-bas"
+        for workers in (2, 4, None):
+            assert choose_algorithm(labeled500, clq3, 2, workers=workers) == "nd-pvot"
+            assert choose_algorithm(labeled500, clq3, 2, num_matches=0,
+                                    workers=workers) == "nd-pvot"
+
+
+class TestAutoCensus:
+    def test_auto_matches_once_and_adopts_the_list(self, labeled500):
+        clq3 = standard_catalog().get("clq3")
+        matches = find_matches(labeled500, clq3)
+        calls = []
+
+        def provider():
+            calls.append(1)
+            return matches
+
+        with ObsContext() as obs:
+            auto = census(labeled500, clq3, 2, matches=provider)
+        assert calls == [1]
+        assert "match.cn.matches" not in obs.registry.snapshot()["counters"]
+        with ObsContext() as obs:
+            assert census(labeled500, clq3, 2) == auto
+        spans = [s.name for root in obs.roots for s in root.walk()]
+        assert spans.count("match.cn") == 1
+        planner = next(s for root in obs.roots for s in root.walk() if s.name == "planner")
+        assert planner.attrs == {"algorithm": "pt-bas", "num_matches": 56, "focal": 500}
+        assert auto == census(labeled500, clq3, 2, algorithm="nd-pvot")
+
+    def test_auto_accepts_a_focal_iterator(self, labeled500):
+        clq3 = standard_catalog().get("clq3")
+        got = census(labeled500, clq3, 2, focal_nodes=iter(range(300)))
+        assert got == census(labeled500, clq3, 2, focal_nodes=range(300),
+                             algorithm="nd-pvot")
+
+    def test_auto_equals_nd_bas_on_random_labeled_graphs(self):
+        rng = random.Random(12)
+        triangle = labeled_triangle()
+        path = Pattern("path")
+        path.add_edge("A", "B")
+        path.add_edge("B", "C")
+        apex = labeled_triangle()
+        apex.add_subpattern("apex", ["A", "B"])
+        wedge = Pattern("open_wedge")
+        wedge.add_node("A", label="A")
+        wedge.add_edge("A", "B")
+        wedge.add_edge("B", "C")
+        wedge.add_edge("A", "C", negated=True)
+        cases = [(triangle, None), (path, None), (apex, "apex"), (wedge, None)]
+        picks = set()
+        for trial in range(24):
+            n = rng.randrange(8, 40)
+            g = Graph()
+            for i in range(n):
+                g.add_node(i, label=rng.choice("ABC"))
+            for _ in range(rng.randrange(n, 3 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    g.add_edge(u, v)
+            pattern, subpattern = cases[trial % len(cases)]
+            k = rng.randrange(0, 3)
+            focal = None if trial % 3 else rng.sample(range(n), rng.randrange(1, n))
+            got, pick = chosen(lambda: census(g, pattern, k, focal_nodes=focal,
+                                              subpattern=subpattern))
+            want = census(g, pattern, k, focal_nodes=focal, subpattern=subpattern,
+                          algorithm="nd-bas")
+            assert got == want, (trial, pattern.name, pick)
+            picks.add(pick)
+        assert set(picks) == {"nd-pvot", "pt-bas"}
 
 
 class TestEstimator:
@@ -75,7 +242,7 @@ class TestEstimator:
         est = estimate_matches(g, unlabeled_triangle())
         actual = len(cn_matches(g, unlabeled_triangle()))
         # Independence estimates on PA graphs land within an order of
-        # magnitude — enough for the planner's family decision.
+        # magnitude — enough to explain a pairwise strategy.
         assert actual / 10 <= est <= actual * 10 + 10
 
     def test_empty_graph(self):

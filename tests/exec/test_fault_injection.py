@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from repro.census import ALGORITHMS, census, parallel_census
+from repro.census import ADOPTS_MATCHES, ALGORITHMS, census, parallel_census
+from repro.census.base import global_matches
 from repro.errors import BudgetExceeded
 from repro.exec import (
     ExecutionBudget,
@@ -94,6 +95,13 @@ class TestInjectedDeadlines:
     def test_deadline_expires_in_every_algorithm(self, algorithm):
         g = make_graph(n=30)
         p = edge_pattern()
+        # Matching runs before the budget (where the algorithm adopts a
+        # match list), so the deadline can only expire in the census
+        # phase the fault targets; test_deadline_expires_in_matcher_expansion
+        # covers deadlines inside matching.
+        options = {}
+        if algorithm in ADOPTS_MATCHES:
+            options["matches"] = global_matches(g, p)
         # The first BFS/traversal wave sleeps past the deadline; the
         # next cooperative tick must notice.
         plan = FaultPlan().add("census.bfs", "delay", at=1, delay=0.03)
@@ -101,7 +109,7 @@ class TestInjectedDeadlines:
         with ctx, install_faults(plan):
             with pytest.raises(BudgetExceeded) as exc:
                 with ExecutionBudget(timeout=0.01):
-                    census(g, p, 1, algorithm=algorithm)
+                    census(g, p, 1, algorithm=algorithm, **options)
         assert exc.value.reason == "deadline"
         counters = dict(ctx.registry.snapshot()["counters"])
         assert counters.get("exec.faults.injected") == 1

@@ -1,6 +1,13 @@
 """Tests for query plan explanation."""
 
+import re
+
+import pytest
+
 from repro.graph.generators import labeled_preferential_attachment, preferential_attachment
+from repro.lang.catalog import standard_catalog
+from repro.matching import find_matches
+from repro.obs import ObsContext
 from repro.query.engine import QueryEngine
 
 
@@ -12,15 +19,18 @@ class TestExplain:
         assert "SCAN nodes" in plan
         assert "algorithm=nd-pvot" in plan
         assert "node-driven" in plan
-        assert "expected matches" in plan
+        exact = len(find_matches(g, standard_catalog().get("clq3-unlb")))
+        assert f"M={exact} matches, F=40 focal nodes" in plan
         assert "GRAPH: 40 nodes" in plan
 
     def test_selective_pattern_picks_pattern_driven(self):
+        # 4 labeled triangles: 2 x 4 x 3 = 24 PT-BAS balls < 40 focal.
         g = labeled_preferential_attachment(40, m=2, seed=0)
         eng = QueryEngine(g)
         plan = eng.explain("SELECT COUNTP(clq3, SUBGRAPH(ID, 2)) FROM nodes")
-        assert "algorithm=pt-opt" in plan
+        assert "algorithm=pt-bas" in plan
         assert "pattern-driven" in plan
+        assert "predicted cost (dict): nd-pvot 40, pt-bas 24" in plan
 
     def test_pinned_algorithm_reported(self):
         g = preferential_attachment(20, m=2, seed=0)
@@ -64,3 +74,79 @@ class TestExplain:
         before = eng.catalog.names()
         eng.explain("SELECT COUNTP(clq4-unlb, SUBGRAPH(ID, 3)) FROM nodes")
         assert eng.catalog.names() == before
+
+
+#: The seven templates of perfbench's census-labeled round.
+LABELED_TEMPLATES = [("clq3", 2, 0.5), ("clq3", 2, 1.0), ("sqr", 2, 0.5), ("sqr", 2, 1.0),
+                     ("path2", 1, 0.5), ("path2", 2, 0.5), ("path2", 2, 1.0)]
+
+
+def executed_algorithm(engine, query):
+    with ObsContext() as obs:
+        engine.execute(query)
+    spans = [s for root in obs.roots for s in root.walk() if s.name == "planner"]
+    assert len(spans) == 1
+    return spans[0].attrs["algorithm"], obs.registry.snapshot()["counters"]
+
+
+class TestExplainNamesTheExecutedPlan:
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return labeled_preferential_attachment(500, m=5, seed=0)
+
+    @pytest.mark.parametrize("pattern,k,p", LABELED_TEMPLATES)
+    def test_explain_algorithm_is_the_executed_one(self, graph, pattern, k, p):
+        query = (f"SELECT ID, COUNTP({pattern}, SUBGRAPH(ID, {k})) AS c FROM nodes "
+                 f"WHERE RND() < {p} ORDER BY c DESC, ID ASC LIMIT 10")
+        engine = QueryEngine(graph)
+        plan = engine.explain(query)
+        explained = re.search(r"algorithm=(\S+)", plan).group(1)
+        executed, counters = executed_algorithm(engine, query)
+        assert explained == executed
+        # EXPLAIN left the match list in the store for execute.
+        assert counters["query.match_store.hits"] == 1
+        assert "query.match_store.misses" not in counters
+        analyzed = QueryEngine(graph).explain_analyze(query)
+        assert f"algorithm={executed} " in analyzed
+        assert f"ran census.{executed.replace('-', '_')}" in analyzed
+
+    def test_both_candidates_are_exercised(self, graph):
+        picks = set()
+        for pattern, k, p in LABELED_TEMPLATES:
+            query = (f"SELECT ID, COUNTP({pattern}, SUBGRAPH(ID, {k})) AS c "
+                     f"FROM nodes WHERE RND() < {p}")
+            picks.add(executed_algorithm(QueryEngine(graph), query)[0])
+        assert picks == {"nd-pvot", "pt-bas"}
+
+    def test_pair_query_plans_on_the_aggregate_focal_column(self, graph):
+        # 60 focal n1 rows: 2 x 56 x 3 = 336 PT-BAS balls > 60, whereas
+        # all 500 nodes as focal would pick PT-BAS.
+        query = ("SELECT n1.ID, COUNTP(clq3, SUBGRAPH(n1.ID, 2)) AS c "
+                 "FROM nodes AS n1, nodes AS n2 WHERE n1.ID < 60 AND n2.ID = 0")
+        engine = QueryEngine(graph)
+        plan = engine.explain(query)
+        assert "algorithm=nd-pvot [M=56 matches, F=60 focal nodes" in plan
+        assert executed_algorithm(engine, query)[0] == "nd-pvot"
+
+    def test_analyze_prints_the_recorded_plan(self, graph):
+        from repro.query.explain import render_analyzed_plan
+
+        query = "SELECT ID, COUNTP(clq3, SUBGRAPH(ID, 2)) AS c FROM nodes"
+        engine = QueryEngine(graph)
+        with ObsContext() as obs:
+            engine.execute(query)
+        root = obs.roots[0]
+        planner = root.find("planner")
+        assert planner.attrs["algorithm"] == "pt-bas"
+        # The replayed plan reads the span, not a fresh plan.
+        planner.attrs.update(algorithm="nd-pvot", num_matches=300)
+        plan = render_analyzed_plan(engine, query, root)
+        assert "algorithm=nd-pvot [M=300 matches, F=500 focal nodes" in plan
+
+    def test_analyze_of_a_cached_aggregate_names_no_plan(self, graph):
+        query = "SELECT ID, COUNTP(clq3, SUBGRAPH(ID, 2)) AS c FROM nodes"
+        engine = QueryEngine(graph, cache=True)
+        engine.execute(query)
+        plan = engine.explain_analyze(query)
+        assert "algorithm=auto [not planned in this run" in plan
+        assert "served from aggregate cache" in plan

@@ -8,6 +8,7 @@ match a serial engine replaying the same update sequence, with no stale
 version ever served.
 """
 
+import io
 import json
 import threading
 import time
@@ -537,6 +538,42 @@ class TestMatchStoreServing:
         assert counts == {repr(n): c for n, c in expected.items()}
         health = json.loads(get(srv, "/health")[2])
         assert health["maintained_embeddings"] == srv.state.maintained.num_embeddings() > 0
+
+    def test_cli_patterns_redefining_the_maintained_pattern(self, tmp_path, monkeypatch):
+        # `repro serve --maintain P --patterns F` with F redefining P:
+        # the census is built on F's pattern, so it and the queries on P
+        # share one store entry instead of evicting each other's.
+        from repro import cli
+        from repro.census import census
+        from repro.graph.io import save_json
+
+        graph_path = tmp_path / "g.json"
+        save_json(preferential_attachment(40, m=3, seed=5), graph_path)
+        patterns_path = tmp_path / "patterns.txt"
+        patterns_path.write_text("PATTERN clq3-unlb {?A-?B; ?B-?C; ?C-?D; ?D-?A;}\n")
+        started = []
+        monkeypatch.setattr(CensusServer, "run",
+                            lambda srv, **kw: started.append(srv.start()))
+        out = io.StringIO()
+        assert cli.main(["serve", str(graph_path), "--port", "0",
+                         "--maintain", "clq3-unlb", "--maintain-k", "1",
+                         "--patterns", str(patterns_path)], out=out) == 0
+        srv = started[0]
+        try:
+            pattern = srv.engine.catalog.get("clq3-unlb")
+            assert len(pattern.nodes) == 4
+            assert srv.state.maintained.pattern is pattern
+            for q in (QUERY, QUERY.replace("SUBGRAPH(ID, 1)", "SUBGRAPH(ID, 2)")):
+                assert post(srv, "/query", {"query": q})[0] == 200
+            assert post(srv, "/update", {"ops": [{"op": "add_edge", "u": 0, "v": 39}]})[0] == 200
+            assert post(srv, "/update", {"ops": [{"op": "remove_edge", "u": 1, "v": 3}]})[0] == 200
+            counters = json.loads(get(srv, "/metrics?format=json")[2])["counters"]
+            assert counters.get("query.match_store.hits", 0) > 0
+            counts = json.loads(get(srv, "/counts")[2])["counts"]
+            expected = census(srv.engine.base_graph, pattern, 1, algorithm="nd-bas")
+            assert counts == {repr(n): c for n, c in expected.items()}
+        finally:
+            srv.drain(timeout=10)
 
 
 def graph_image(g):

@@ -136,6 +136,21 @@ class TestDebugTraces:
             c.name.startswith("census.") for c in chunk.walk()
         )
 
+    def test_planner_choice_in_metrics_and_trace(self, server):
+        # The default daemon (CSR, auto) plans every clq3-unlb query to
+        # ND-PVOT; the pick is a /metrics counter and the trace's
+        # planner span says why.
+        srv = server(trace_sample_rate=1.0)
+        _, doc = post(srv, "/query", {"query": QUERY})
+        _, trace = get(srv, f"/debug/traces/{doc['request_id']}")
+        planner = Span.from_dict(trace["spans"]).find("planner")
+        assert planner.attrs["algorithm"] == "nd-pvot"
+        assert planner.attrs["focal"] == 30
+        assert planner.attrs["num_matches"] > 0
+        _, metrics = get(srv, "/metrics?format=json")
+        assert metrics["counters"]["planner.chose.nd_pvot"] == 1
+        assert "planner.chose.pt_bas" not in metrics["counters"]
+
     def test_unknown_trace_is_404(self, server):
         srv = server(trace_sample_rate=1.0)
         status, doc = get(srv, "/debug/traces/deadbeefdeadbeef")

@@ -35,7 +35,7 @@ def nd_pvot_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher
     pass over many census calls).
     """
     obs = current_obs()
-    with obs.span("census.nd_pvot", k=k, pattern=pattern.name):
+    with obs.span("census.nd_pvot", k=k, pattern=pattern.name) as span:
         request = CensusRequest(graph, pattern, k, focal_nodes, subpattern)
         counts = request.zero_counts()
         units = prepare_matches(request, matcher=matcher, matches=matches)
@@ -71,20 +71,21 @@ def nd_pvot_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher
             for d in range(max(bulk_depth + 1, 0), k + 1)
         }
 
-        # The vectorized kernel processes every focal node in one shot
-        # with no cooperative checkpoints; under an active budget the
-        # per-node loop below runs instead so deadlines are honored at
-        # focal/BFS-layer granularity.
+        # The bit-parallel kernel runs on any graph; the per-node set
+        # loop below is left for environments without numpy >= 2.
         budget = current_budget()
-        indexed = None
-        if budget is None:
-            indexed = pvot_indexed_counts(
-                graph, request.focal_nodes, pmi, far_names, k, bulk_depth, prefix_at
-            )
+        indexed = pvot_indexed_counts(
+            graph, request.focal_nodes, pmi, far_names, k, bulk_depth, prefix_at, budget
+        )
         if indexed is not None:
             counts.update(indexed.counts)
             bulk, checked, visited = indexed.bulk, indexed.checked, indexed.visited
+            span.set("kernel", "bit-parallel")
+            span.set("index", indexed.index_source)
+            span.set("indexed_nodes", indexed.indexed_nodes)
+            obs.add("census.nd_pvot.indexed_nodes", indexed.indexed_nodes)
         else:
+            span.set("kernel", "set")
             # Per anchor node, the far-image tuples of its anchored units
             # (aligned with pmi.matches_at order): the containment loop
             # walks plain tuples, no per-unit indirection.

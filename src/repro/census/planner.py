@@ -15,39 +15,41 @@ their family, ND-PVOT and PT-BAS, by the k-hop balls each one walks:
   neighborhood (all of them unless a subpattern is counted).
 
 The ball size cancels out, so PT-BAS is chosen iff
-``alpha * M * |V_c| < F``.  ``alpha`` is a per-backend constant
-(:data:`ALPHA`): the price of one PT-BAS ball (a BFS plus a set
-intersection) in units of one ND-PVOT ball (a BFS plus index probes).
-``M`` is free: both candidates start from the same global matching
-pass, so :func:`repro.census.census` runs it before planning and hands
-the list to the chosen algorithm.
+``alpha * M * |V_c| < F``.  ``alpha`` (:data:`ALPHA`) is the price of
+one PT-BAS ball (a BFS plus a set intersection) in units of one ND-PVOT
+ball, and depends on which ND-PVOT loop will run, not on the backend:
+the bit-parallel kernel of :mod:`repro.census.indexed` (64 focal nodes
+per word, over a CSR snapshot's index or over the focal set's k-hop
+ball on any other graph), or the per-node set loop, which only runs
+without numpy >= 2.  ``M`` is free: both candidates start from the same
+global matching pass, so :func:`repro.census.census` runs it before
+planning and hands the list to the chosen algorithm.
 
-Calibration: census phase only (matches adopted), best of 3, CPython
-3.11 on a 2-CPU x86-64 VM, 123 cases per backend:
-``labeled_preferential_attachment`` graphs (4 labels) of 500, 1000
-and 2000 nodes with m = 3 and 5 (generator seeds 1-5), the ``clq3``,
-``sqr`` and ``path2`` patterns, k = 1-3 and focal fractions 0.1 / 0.5 /
-1.0.  A case's break-even ``alpha`` is the one at which both algorithms
-take the same time, ``t_pt_bas * F / (t_nd_pvot * M * |V|)``; it only
-matters where ``M * |V| < F`` (46 cases per backend).
+Calibration of the kernel constant: census phase only (matches
+adopted), best of 3, CPython 3.11 and numpy 2 on a 2-CPU x86-64 VM,
+162 cases per backend: ``labeled_preferential_attachment`` graphs
+(4 labels) of 500, 1000 and 2000 nodes with m = 3 and 5 (generator
+seeds 1-6), the ``clq3``, ``sqr`` and ``path2`` patterns, k = 1-3 and
+focal fractions 0.1 / 0.5 / 1.0.  A case's break-even ``alpha`` is the
+one at which both algorithms take the same time,
+``t_pt_bas * F / (t_nd_pvot * M * |V|)``; it only matters where
+``M * |V| < F``, the 60 cases per backend where PT-BAS was timed.
 
-=======  ==============  ========================  =====  ===============
-backend  PT-BAS faster   break-even alpha          alpha  wrong picks
-                         (median, range)                  (worst loss)
-=======  ==============  ========================  =====  ===============
-dict     32 of 123       2.4, 1.25-5.85            2      5 (1.75x)
-csr      3 of 123 (k=1)  25.5, 3.9-103             40     3 (2.05x, 2 ms)
-=======  ==============  ========================  =====  ===============
+=======  =============  ==========================  =====  ==================
+backend  PT-BAS faster  break-even alpha, median    alpha  wrong picks
+                        at k = 1 / 2 / 3                   (worst loss)
+=======  =============  ==========================  =====  ==================
+dict     17 of 60       1.9 / 16 / 63               40     17 (7.1x, 11 ms)
+csr      6 of 60        5.3 / 21 / 51               40     6 (3.1x, 4.9 ms)
+=======  =============  ==========================  =====  ==================
 
-On dict, ``alpha`` = 1.5, 2.5 and 3 pick wrong 8, 7 and 9 times; the
-five misses at 2 all lie within 1.75x of break-even.  The work
-counters agree: a PT-BAS ball scans about 5.2 adjacency entries
-(``census.pt_bas.edge_visits``) per node an ND-PVOT ball expands
-(``census.nd_pvot.bfs_expansions``); an edge visit costs 197 ns on
-dict and 167 ns on CSR, an ND-PVOT expansion or containment check
-335 ns on dict but 36 ns on CSR, where ND-PVOT runs a vectorized
-kernel over every focal node at once while PT-BAS still intersects
-Python sets per match.
+Any ``alpha`` from 30 up gives the same picks on both backends, so one
+constant serves both.  Every wrong pick but one lies at k = 1, where
+both algorithms finish in milliseconds; the break-even rises with k
+because a PT-BAS ball grows with the radius while a 64-source kernel
+block barely does.  The set loop keeps the constant of its own
+calibration on dict (123 cases, break-even median 2.4, range
+1.25-5.85; five wrong picks, all within 1.75x of break-even).
 
 PT-OPT and ND-DIFF are not candidates: in every measured case ND-DIFF
 lost to ND-PVOT and PT-OPT to PT-BAS.  With ``workers > 1`` the plan is
@@ -56,19 +58,19 @@ cleanly, while pattern-driven work repeats per chunk.
 """
 
 from repro.census.base import global_matches
-from repro.graph.csr import CSRGraph
+from repro.census.indexed import kernel_available
 from repro.graph.graph import LABEL_KEY
 
-#: Price of one PT-BAS ball in ND-PVOT balls, per backend.
-ALPHA = {"dict": 2.0, "csr": 40.0}
+#: Price of one PT-BAS ball in ND-PVOT balls, per ND-PVOT loop.
+ALPHA = {"bit-parallel": 40.0, "set": 2.0}
 
 
-def backend_of(graph):
-    """``"csr"`` for a CSR snapshot, ``"dict"`` for any other graph."""
-    return "csr" if isinstance(graph, CSRGraph) else "dict"
+def pvot_loop():
+    """The ND-PVOT loop that will run: ``"bit-parallel"`` or ``"set"``."""
+    return "bit-parallel" if kernel_available() else "set"
 
 
-def predicted_costs(graph, pattern, num_matches, focal_count, subpattern=None):
+def predicted_costs(pattern, num_matches, focal_count, subpattern=None):
     """Predicted cost of each candidate, in ND-PVOT k-hop balls."""
     if subpattern is None:
         width = len(pattern.nodes)
@@ -76,7 +78,7 @@ def predicted_costs(graph, pattern, num_matches, focal_count, subpattern=None):
         width = len(pattern.subpatterns[subpattern])
     return {
         "nd-pvot": float(focal_count),
-        "pt-bas": ALPHA[backend_of(graph)] * num_matches * width,
+        "pt-bas": ALPHA[pvot_loop()] * num_matches * width,
     }
 
 
@@ -98,7 +100,7 @@ def choose_algorithm(graph, pattern, k, focal_nodes=None, subpattern=None,
                           else list(focal_nodes))
     if num_matches is None:
         num_matches = len(global_matches(graph, pattern, subpattern))
-    costs = predicted_costs(graph, pattern, num_matches, focal_count, subpattern)
+    costs = predicted_costs(pattern, num_matches, focal_count, subpattern)
     return "pt-bas" if costs["pt-bas"] < costs["nd-pvot"] else "nd-pvot"
 
 

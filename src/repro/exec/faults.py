@@ -15,8 +15,9 @@ Sites (see :data:`SITES`):
 
 - ``match.expand`` — once per extension step of each matcher's
   backtracking loop;
-- ``census.bfs`` — once per focal-node neighborhood expansion (or per
-  traversal wave for the pattern-driven algorithms);
+- ``census.bfs`` — once per focal-node neighborhood expansion (per
+  64-source block in ND-PVOT's bit-parallel kernel, per traversal wave
+  for the pattern-driven algorithms);
 - ``parallel.chunk`` — at the start of every parallel census chunk, in
   whichever executor runs it.
 

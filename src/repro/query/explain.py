@@ -12,7 +12,7 @@ wall-time and operation counts from the execution trace.  Used by
 import random
 
 from repro.census import plan_census
-from repro.census.planner import backend_of, predicted_costs
+from repro.census.planner import predicted_costs, pvot_loop
 from repro.lang.ast import Aggregate
 from repro.obs import ObsContext, format_duration
 from repro.query.statistics import GraphStatistics
@@ -66,13 +66,13 @@ def explain_query(engine, query, root=None):
                               "cache, or stopped before the plan")
                 else:
                     algorithm = plan["algorithm"]
-                    reason = _planner_reason(engine.graph, pattern, item.subpattern_name, plan)
+                    reason = _planner_reason(pattern, item.subpattern_name, plan)
             elif engine.algorithm == "auto":
                 if bindings is None:
                     bindings = _bindings(engine, query)
                 plan = _plan_aggregate(engine, item, pattern, bindings, workers)
                 algorithm = plan["algorithm"]
-                reason = _planner_reason(engine.graph, pattern, item.subpattern_name, plan)
+                reason = _planner_reason(pattern, item.subpattern_name, plan)
             else:
                 algorithm = engine.algorithm
                 reason = "pinned by engine configuration"
@@ -147,16 +147,16 @@ def _recorded_plan(root, output):
     return planner.attrs
 
 
-def _planner_reason(graph, pattern, subpattern, plan):
+def _planner_reason(pattern, subpattern, plan):
     family = ("pattern-driven per-match BFS" if plan["algorithm"] == "pt-bas"
               else "node-driven pivot index")
     if plan["num_matches"] is None:
         return f"F={plan['focal']} focal nodes over parallel workers -> {family}"
-    costs = predicted_costs(graph, pattern, plan["num_matches"], plan["focal"], subpattern)
+    costs = predicted_costs(pattern, plan["num_matches"], plan["focal"], subpattern)
     ranked = ", ".join(f"{name} {cost:.0f}" for name, cost in costs.items())
     return (
         f"M={plan['num_matches']} matches, F={plan['focal']} focal nodes; "
-        f"predicted cost ({backend_of(graph)}): {ranked} -> {family}"
+        f"predicted cost ({pvot_loop()} ND-PVOT): {ranked} -> {family}"
     )
 
 
@@ -200,6 +200,7 @@ _ANALYZE_COUNTERS = (
     ("census.nd_bas.containment_checks", "containment checks"),
     ("census.pairwise.containment_checks", "containment checks"),
     ("census.nd_pvot.bfs_expansions", "BFS expansions"),
+    ("census.nd_pvot.indexed_nodes", "indexed nodes"),
     ("census.nd_bas.subgraphs_extracted", "subgraphs extracted"),
     ("census.nd_diff.restarts", "restarts"),
     ("census.nd_diff.diff_steps", "differential steps"),
@@ -311,6 +312,11 @@ def _aggregate_actuals(span):
     executed = {c.name for c in span.children if c.name.startswith("census.")}
     if executed:
         parts.append("ran " + "+".join(sorted(executed)))
+    loops = sorted({(s.attrs["kernel"], s.attrs.get("index")) for s in span.walk()
+                    if s.name == "census.nd_pvot" and "kernel" in s.attrs},
+                   key=repr)
+    for kernel, index in loops:
+        parts.append(f"kernel={kernel}" + (f" over {index} index" if index else ""))
     if not parts:
         return ""
     return "; " + ", ".join(parts)

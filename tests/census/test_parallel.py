@@ -148,11 +148,14 @@ class TestObservability:
         parallel = self._counters(lambda: parallel_census(
             g, pattern, 2, algorithm="nd-pvot", workers=4, executor="thread"
         ))
-        # Census-phase counters merge exactly; matching runs once in the
-        # parent either way.
+        # Census-phase work counters merge exactly; matching runs once
+        # in the parent either way.  Each chunk indexes its own focal
+        # ball, and the balls overlap.
         for name, value in serial.items():
-            if name.startswith("census.nd_pvot."):
+            if name.startswith("census.nd_pvot.") and name != "census.nd_pvot.indexed_nodes":
                 assert parallel.get(name) == value, name
+        assert serial["census.nd_pvot.indexed_nodes"] == g.num_nodes
+        assert parallel["census.nd_pvot.indexed_nodes"] >= g.num_nodes
         assert parallel["census.parallel.chunks"] == 4
         assert parallel["census.parallel.workers"] == 4
 
@@ -274,12 +277,14 @@ class TestEntryPoints:
     def test_auto_planner_biases_node_driven(self):
         from repro.census.planner import choose_algorithm
 
-        g = labeled_preferential_attachment(60, m=2, seed=1)
-        pattern = triangle(labels=("A", "B", "C"))
+        from repro.lang.catalog import standard_catalog
+
+        g = labeled_preferential_attachment(2000, m=5, seed=0)
+        pattern = standard_catalog().get("clq4")
         serial_choice = choose_algorithm(g, pattern, 2)
         parallel_choice = choose_algorithm(g, pattern, 2, workers=4)
         assert parallel_choice == "nd-pvot"
-        # The labeled triangle is selective (alpha x M x 3 < 60 focal
-        # nodes), so the serial planner goes pattern-driven: exactly
-        # the case the workers bias flips.
+        # The labeled 4-clique is selective (alpha x 10 matches x 4 <
+        # 2000 focal nodes), so the serial planner goes pattern-driven:
+        # exactly the case the workers bias flips.
         assert serial_choice == "pt-bas"

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import repro.census.indexed
 from repro.census import ALGORITHMS, census
-from repro.census.planner import ALPHA, choose_algorithm, predicted_costs
+from repro.census.planner import ALPHA, choose_algorithm, predicted_costs, pvot_loop
 from repro.graph.csr import freeze
 from repro.graph.generators import labeled_preferential_attachment, preferential_attachment
 from repro.graph.graph import Graph
@@ -60,12 +61,12 @@ class TestChoices:
         g = preferential_attachment(100, m=2, seed=0)
         assert choose_algorithm(g, unlabeled_triangle(), 2) == "nd-pvot"
 
-    def test_selective_pattern_goes_pattern_driven(self, labeled500):
-        # 56 labeled triangles x 3 nodes x alpha 2 = 336 PT-BAS balls
-        # against 500 focal balls.
-        clq3 = standard_catalog().get("clq3")
-        assert len(find_matches(labeled500, clq3)) == 56
-        assert choose_algorithm(labeled500, clq3, 2) == "pt-bas"
+    def test_selective_pattern_goes_pattern_driven(self, labeled2000):
+        # 10 labeled 4-cliques x 4 nodes x alpha 40 = 1600 PT-BAS balls
+        # against 2000 focal balls.
+        clq4 = standard_catalog().get("clq4")
+        assert len(find_matches(labeled2000, clq4)) == 10
+        assert choose_algorithm(labeled2000, clq4, 2) == "pt-bas"
 
     def test_larger_labeled_patterns_go_node_driven(self, labeled500):
         catalog = standard_catalog()
@@ -86,12 +87,12 @@ class TestChoices:
         ref = census(g, labeled_triangle(), 2, algorithm="nd-bas")
         assert auto == ref
 
-    def test_dict_2000_node_full_focal_triangle_goes_pattern_driven(self, labeled2000):
-        clq3 = standard_catalog().get("clq3")
+    def test_dict_2000_node_full_focal_clique_goes_pattern_driven(self, labeled2000):
+        clq4 = standard_catalog().get("clq4")
         for k in (1, 2, 3):
-            assert choose_algorithm(labeled2000, clq3, k) == "pt-bas"
-        # A small focal set pays fewer ND-PVOT balls than the matches'.
-        assert choose_algorithm(labeled2000, clq3, 3, focal_nodes=range(200)) == "nd-pvot"
+            assert choose_algorithm(labeled2000, clq4, k) == "pt-bas"
+        # A smaller focal set pays fewer ND-PVOT balls than the matches'.
+        assert choose_algorithm(labeled2000, clq4, 3, focal_nodes=range(1000)) == "nd-pvot"
 
     def test_csr_constant_keeps_node_driven(self, labeled500, labeled2000):
         # The indexed ND-PVOT kernel won every measured CSR case.
@@ -101,6 +102,25 @@ class TestChoices:
             for name in ("clq3", "sqr", "path2"):
                 for k in (1, 2, 3):
                     assert choose_algorithm(csr, catalog.get(name), k) == "nd-pvot"
+
+    def test_dict_takes_the_kernel_constant(self, labeled500, labeled2000):
+        # The dict backend runs the same kernel, over the focal set's
+        # ball, so it plans like CSR.
+        catalog = standard_catalog()
+        for graph in (labeled500, labeled2000):
+            for name in ("clq3", "sqr", "path2"):
+                for k in (1, 2, 3):
+                    assert choose_algorithm(graph, catalog.get(name), k) == "nd-pvot"
+
+    def test_set_loop_constant_without_the_kernel(self, labeled500, monkeypatch):
+        # Without numpy >= 2 ND-PVOT runs its per-node set loop, and the
+        # planner prices PT-BAS against that loop: 56 labeled triangles
+        # x 3 nodes x alpha 2 = 336 PT-BAS balls against 500 focal balls.
+        monkeypatch.setattr(repro.census.indexed, "_HAS_BITWISE_COUNT", False)
+        assert pvot_loop() == "set"
+        clq3 = standard_catalog().get("clq3")
+        assert choose_algorithm(labeled500, clq3, 2) == "pt-bas"
+        assert choose_algorithm(labeled500, clq3, 2, focal_nodes=range(300)) == "nd-pvot"
 
 
 class TestCostModel:
@@ -124,7 +144,7 @@ class TestCostModel:
 
     def test_rule_is_alpha_times_matches_times_width_against_focal(self, labeled500):
         p = labeled_triangle()
-        alpha = ALPHA["dict"]
+        alpha = ALPHA[pvot_loop()]
         # Break-even at F = alpha * M * 3.
         m = 20
         edge = int(alpha * m * 3)
@@ -132,30 +152,30 @@ class TestCostModel:
                                 num_matches=m) == "nd-pvot"
         assert choose_algorithm(labeled500, p, 2, focal_nodes=range(edge + 1),
                                 num_matches=m) == "pt-bas"
-        assert predicted_costs(labeled500, p, m, edge) == {
+        assert predicted_costs(p, m, edge) == {
             "nd-pvot": edge, "pt-bas": alpha * m * 3,
         }
 
     def test_subpattern_width_counts_containment_nodes(self, labeled500):
         p = labeled_triangle()
         p.add_subpattern("apex", ["A"])
-        assert predicted_costs(labeled500, p, 10, 100, subpattern="apex")["pt-bas"] == (
-            ALPHA["dict"] * 10
+        assert predicted_costs(p, 10, 100, subpattern="apex")["pt-bas"] == (
+            ALPHA[pvot_loop()] * 10
         )
 
-    def test_parallel_workers_go_node_driven(self, labeled500):
-        clq3 = standard_catalog().get("clq3")
-        assert choose_algorithm(labeled500, clq3, 2) == "pt-bas"
+    def test_parallel_workers_go_node_driven(self, labeled2000):
+        clq4 = standard_catalog().get("clq4")
+        assert choose_algorithm(labeled2000, clq4, 2) == "pt-bas"
         for workers in (2, 4, None):
-            assert choose_algorithm(labeled500, clq3, 2, workers=workers) == "nd-pvot"
-            assert choose_algorithm(labeled500, clq3, 2, num_matches=0,
+            assert choose_algorithm(labeled2000, clq4, 2, workers=workers) == "nd-pvot"
+            assert choose_algorithm(labeled2000, clq4, 2, num_matches=0,
                                     workers=workers) == "nd-pvot"
 
 
 class TestAutoCensus:
-    def test_auto_matches_once_and_adopts_the_list(self, labeled500):
-        clq3 = standard_catalog().get("clq3")
-        matches = find_matches(labeled500, clq3)
+    def test_auto_matches_once_and_adopts_the_list(self, labeled2000):
+        clq4 = standard_catalog().get("clq4")
+        matches = find_matches(labeled2000, clq4)
         calls = []
 
         def provider():
@@ -163,16 +183,16 @@ class TestAutoCensus:
             return matches
 
         with ObsContext() as obs:
-            auto = census(labeled500, clq3, 2, matches=provider)
+            auto = census(labeled2000, clq4, 2, matches=provider)
         assert calls == [1]
         assert "match.cn.matches" not in obs.registry.snapshot()["counters"]
         with ObsContext() as obs:
-            assert census(labeled500, clq3, 2) == auto
+            assert census(labeled2000, clq4, 2) == auto
         spans = [s.name for root in obs.roots for s in root.walk()]
         assert spans.count("match.cn") == 1
         planner = next(s for root in obs.roots for s in root.walk() if s.name == "planner")
-        assert planner.attrs == {"algorithm": "pt-bas", "num_matches": 56, "focal": 500}
-        assert auto == census(labeled500, clq3, 2, algorithm="nd-pvot")
+        assert planner.attrs == {"algorithm": "pt-bas", "num_matches": 10, "focal": 2000}
+        assert auto == census(labeled2000, clq4, 2, algorithm="nd-pvot")
 
     def test_auto_accepts_a_focal_iterator(self, labeled500):
         clq3 = standard_catalog().get("clq3")

@@ -272,6 +272,7 @@ class TestNumpyFallback:
         assert_same_reads(g, csr)
         fn = ALGORITHMS["nd-pvot"]
         assert fn(csr, triangle(), 2) == fn(g, triangle(), 2)
+        assert fn(g, triangle(), 2) == ALGORITHMS["nd-bas"](g, triangle(), 2)
         for source in list(g.nodes())[:3]:
             assert bfs_distances(csr, source) == bfs_distances(g, source)
 
@@ -289,5 +290,8 @@ class TestNumpyFallback:
         g = labeled_preferential_attachment(18, m=2, seed=11)
         csr = freeze(g)
         assert pvot_indexed_counts(csr, [], None, [], 2, 0, {}) is None
+        # The dict backend declines the same way (no ball index built).
+        assert pvot_indexed_counts(g, [], None, [], 2, 0, {}) is None
         fn = ALGORITHMS["nd-pvot"]
         assert fn(csr, triangle(), 2) == fn(g, triangle(), 2)
+        assert fn(g, triangle(), 2) == ALGORITHMS["nd-bas"](g, triangle(), 2)

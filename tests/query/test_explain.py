@@ -10,6 +10,11 @@ from repro.matching import find_matches
 from repro.obs import ObsContext
 from repro.query.engine import QueryEngine
 
+#: A labeled 4-clique with two C corners: one match on the 500-node
+#: labeled graph below, so alpha 40 x 1 x 4 = 160 PT-BAS balls < 500.
+RARE_CLIQUE = ("PATTERN clq4-abcc {?A-?B; ?A-?C; ?A-?D; ?B-?C; ?B-?D; ?C-?D; "
+               "[?A.label = 'A']; [?B.label = 'B']; [?C.label = 'C']; [?D.label = 'C'];}")
+
 
 class TestExplain:
     def test_single_table_plan(self):
@@ -24,13 +29,13 @@ class TestExplain:
         assert "GRAPH: 40 nodes" in plan
 
     def test_selective_pattern_picks_pattern_driven(self):
-        # 4 labeled triangles: 2 x 4 x 3 = 24 PT-BAS balls < 40 focal.
-        g = labeled_preferential_attachment(40, m=2, seed=0)
+        g = labeled_preferential_attachment(500, m=5, seed=0)
         eng = QueryEngine(g)
-        plan = eng.explain("SELECT COUNTP(clq3, SUBGRAPH(ID, 2)) FROM nodes")
+        eng.define_pattern(RARE_CLIQUE)
+        plan = eng.explain("SELECT COUNTP(clq4-abcc, SUBGRAPH(ID, 2)) FROM nodes")
         assert "algorithm=pt-bas" in plan
         assert "pattern-driven" in plan
-        assert "predicted cost (dict): nd-pvot 40, pt-bas 24" in plan
+        assert "predicted cost (bit-parallel ND-PVOT): nd-pvot 500, pt-bas 160" in plan
 
     def test_pinned_algorithm_reported(self):
         g = preferential_attachment(20, m=2, seed=0)
@@ -111,16 +116,20 @@ class TestExplainNamesTheExecutedPlan:
         assert f"ran census.{executed.replace('-', '_')}" in analyzed
 
     def test_both_candidates_are_exercised(self, graph):
-        picks = set()
+        # Every perfbench template goes to the ND-PVOT kernel; a pattern
+        # with one match goes pattern-driven.
         for pattern, k, p in LABELED_TEMPLATES:
             query = (f"SELECT ID, COUNTP({pattern}, SUBGRAPH(ID, {k})) AS c "
                      f"FROM nodes WHERE RND() < {p}")
-            picks.add(executed_algorithm(QueryEngine(graph), query)[0])
-        assert picks == {"nd-pvot", "pt-bas"}
+            assert executed_algorithm(QueryEngine(graph), query)[0] == "nd-pvot", query
+        engine = QueryEngine(graph)
+        engine.define_pattern(RARE_CLIQUE)
+        query = "SELECT ID, COUNTP(clq4-abcc, SUBGRAPH(ID, 2)) AS c FROM nodes"
+        assert executed_algorithm(engine, query)[0] == "pt-bas"
 
     def test_pair_query_plans_on_the_aggregate_focal_column(self, graph):
-        # 60 focal n1 rows: 2 x 56 x 3 = 336 PT-BAS balls > 60, whereas
-        # all 500 nodes as focal would pick PT-BAS.
+        # The plan prices 60 focal n1 rows, not the 60 x 1 pair rows'
+        # 500-node table.
         query = ("SELECT n1.ID, COUNTP(clq3, SUBGRAPH(n1.ID, 2)) AS c "
                  "FROM nodes AS n1, nodes AS n2 WHERE n1.ID < 60 AND n2.ID = 0")
         engine = QueryEngine(graph)
@@ -137,11 +146,11 @@ class TestExplainNamesTheExecutedPlan:
             engine.execute(query)
         root = obs.roots[0]
         planner = root.find("planner")
-        assert planner.attrs["algorithm"] == "pt-bas"
+        assert planner.attrs["algorithm"] == "nd-pvot"
         # The replayed plan reads the span, not a fresh plan.
-        planner.attrs.update(algorithm="nd-pvot", num_matches=300)
+        planner.attrs.update(algorithm="pt-bas", num_matches=3)
         plan = render_analyzed_plan(engine, query, root)
-        assert "algorithm=nd-pvot [M=300 matches, F=500 focal nodes" in plan
+        assert "algorithm=pt-bas [M=3 matches, F=500 focal nodes" in plan
 
     def test_analyze_of_a_cached_aggregate_names_no_plan(self, graph):
         query = "SELECT ID, COUNTP(clq3, SUBGRAPH(ID, 2)) AS c FROM nodes"

@@ -58,6 +58,16 @@ class TestExplainAnalyze:
         assert "matches=2" in census_line  # the two planted triangles
         assert "ran census." in census_line
 
+    def test_nd_pvot_line_names_the_loop_that_ran(self):
+        # The dict backend runs ND-PVOT's bit-parallel kernel over an
+        # index of the focal set's ball; a CSR snapshot lends its own.
+        for backend, index in (("dict", "ball"), ("csr", "snapshot")):
+            eng = QueryEngine(triangle_chain(), algorithm="nd-pvot", backend=backend)
+            (table,) = eng.execute_script(self.SCRIPT)
+            census_line = next(row[0] for row in table if row[0].startswith("CENSUS"))
+            assert f"kernel=bit-parallel over {index} index" in census_line
+            assert "indexed nodes=10" in census_line
+
     def test_actually_executes(self):
         eng = QueryEngine(triangle_chain(), cache=True)
         eng.execute_script(self.SCRIPT)

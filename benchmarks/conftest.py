@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+from repro.obs import ObsContext
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
@@ -34,3 +36,14 @@ def record_figure():
 def run_once(benchmark, fn):
     """Run a sweep exactly once under the pytest-benchmark harness."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def run_counted(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` under a fresh ObsContext.
+
+    Returns ``(result, counters)``: the work the call reported through
+    its obs counters (``census.pt_opt.queue_pops``, ...), by name.
+    """
+    with ObsContext() as obs:
+        result = fn(*args, **kwargs)
+    return result, obs.registry.snapshot()["counters"]

@@ -18,7 +18,7 @@ from repro.census.nd_pvot import nd_pvot_census
 from repro.graph.generators import preferential_attachment
 from repro.matching.pattern import Pattern
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 # Sparse graph: 4-path counts explode combinatorially with density.
 GRAPH_SIZE = 300
@@ -34,8 +34,9 @@ def path4():
 
 
 def bulk_fraction(stats):
-    done = stats["bulk_added"] + stats["explicitly_checked"]
-    return stats["bulk_added"] / done if done else 0.0
+    bulk = stats["census.nd_pvot.bulk_added"]
+    done = bulk + stats["census.nd_pvot.containment_checks"]
+    return bulk / done if done else 0.0
 
 
 def test_ablation_pivot(benchmark, record_figure):
@@ -46,11 +47,9 @@ def test_ablation_pivot(benchmark, record_figure):
 
     def run():
         for pivot in "ABCD":
-            stats = {}
-            counts[pivot] = nd_pvot_census(
-                graph, pattern, K, pivot_var=pivot, collect_stats=stats
+            counts[pivot], all_stats[pivot] = run_counted(
+                nd_pvot_census, graph, pattern, K, pivot_var=pivot
             )
-            all_stats[pivot] = stats
         return all_stats
 
     run_once(benchmark, run)
@@ -59,7 +58,8 @@ def test_ablation_pivot(benchmark, record_figure):
     for pivot, stats in all_stats.items():
         lines.append(
             f"  pivot ?{pivot} (ecc={pattern.eccentricity(pivot)}): "
-            f"bulk={stats['bulk_added']} checked={stats['explicitly_checked']} "
+            f"bulk={stats['census.nd_pvot.bulk_added']} "
+            f"checked={stats['census.nd_pvot.containment_checks']} "
             f"bulk fraction={bulk_fraction(stats):.3f}"
         )
     record_figure("ablation_pivot", "\n".join(lines))

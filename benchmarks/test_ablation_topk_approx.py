@@ -15,7 +15,7 @@ from repro.census.topk import census_topk
 from repro.datasets.workloads import pa_graph
 from repro.lang.catalog import standard_catalog
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 GRAPH_SIZE = 1500
 K_HOPS = 2
@@ -31,8 +31,9 @@ def test_ablation_topk(benchmark, record_figure):
     stats = {}
 
     def run():
-        top = sweep.run("time", "topk", census_topk, graph, pattern, K_HOPS, TOP_K,
-                        None, None, "cn", None, stats)
+        top, counters = run_counted(sweep.run, "time", "topk", census_topk, graph,
+                                    pattern, K_HOPS, TOP_K)
+        stats["exact_evaluations"] = counters["census.topk.exact_evaluations"]
         full = sweep.run("time", "full (nd-pvot)", census, graph, pattern, K_HOPS,
                          None, None, "nd-pvot")
         want_counts = sorted(full.values(), reverse=True)[:TOP_K]

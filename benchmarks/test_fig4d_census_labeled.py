@@ -25,7 +25,7 @@ from repro.census.pt_opt import PTOptions, pt_opt_census
 from repro.datasets.workloads import pa_graph
 from repro.lang.catalog import standard_catalog
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 SIZES = (1000, 2000)
 K = 3
@@ -45,17 +45,15 @@ def test_fig4d_sweep(benchmark, record_figure):
                 results[name] = sweep.run(name, n, ALGORITHMS[name], graph, pattern, K)
             assert all(r == results["nd-pvot"] for r in results.values())
 
-            bas_stats = {}
-            pt_bas_census(graph, pattern, K, collect_stats=bas_stats)
-            opt_stats, rnd_stats = {}, {}
-            pt_opt_census(graph, pattern, K, options=PTOptions(stats=opt_stats))
-            pt_opt_census(graph, pattern, K,
-                          options=PTOptions(order="random", stats=rnd_stats))
+            _, bas = run_counted(pt_bas_census, graph, pattern, K)
+            _, opt = run_counted(pt_opt_census, graph, pattern, K)
+            _, rnd = run_counted(pt_opt_census, graph, pattern, K,
+                                 options=PTOptions(order="random"))
             metrics[n] = {
-                "pt-bas edge visits": bas_stats["edge_visits"],
-                "pt-opt edge visits": opt_stats["edge_visits"],
-                "pt-opt pops (best-first)": opt_stats["pops"],
-                "pt-opt pops (random)": rnd_stats["pops"],
+                "pt-bas edge visits": bas["census.pt_bas.edge_visits"],
+                "pt-opt edge visits": opt["census.pt_opt.edge_visits"],
+                "pt-opt pops (best-first)": opt["census.pt_opt.queue_pops"],
+                "pt-opt pops (random)": rnd["census.pt_opt.queue_pops"],
             }
         return sweep
 

@@ -20,11 +20,11 @@ import random
 from repro.bench.harness import Sweep
 from repro.bench.reporting import render_series
 from repro.census.nd_pvot import nd_pvot_census
-from repro.census.pt_opt import PTOptions, pt_opt_census
+from repro.census.pt_opt import pt_opt_census
 from repro.datasets.workloads import pa_graph
 from repro.lang.catalog import standard_catalog
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 GRAPH_SIZE = 800
 K = 2
@@ -46,15 +46,12 @@ def test_fig4e_sweep(benchmark, record_figure):
     def run():
         for r in SELECTIVITIES:
             focal = focal_sample(graph, r) if r < 1.0 else None
-            nd_stats = {}
-            sweep.run("ND-PVOT", r, nd_pvot_census, graph, pattern, K, focal,
-                      None, "cn", None, nd_stats)
-            nd_work[r] = nd_stats["bfs_visited"]
-            pt_stats = {}
-            opts = PTOptions(stats=pt_stats)
-            sweep.run("PT-OPT", r, pt_opt_census, graph, pattern, K, focal,
-                      None, "cn", opts)
-            pt_work[r] = pt_stats["pops"] + pt_stats["relaxations"]
+            _, nd = run_counted(sweep.run, "ND-PVOT", r, nd_pvot_census, graph,
+                                pattern, K, focal)
+            nd_work[r] = nd["census.nd_pvot.bfs_expansions"]
+            _, pt = run_counted(sweep.run, "PT-OPT", r, pt_opt_census, graph,
+                                pattern, K, focal)
+            pt_work[r] = pt["census.pt_opt.queue_pops"] + pt["census.pt_opt.relaxations"]
         return sweep
 
     run_once(benchmark, run)

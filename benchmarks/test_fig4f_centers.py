@@ -20,7 +20,7 @@ from repro.census.pt_opt import PTOptions, pt_opt_census
 from repro.datasets.workloads import pa_graph
 from repro.lang.catalog import standard_catalog
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 GRAPH_SIZE = 4000
 K = 2
@@ -37,16 +37,15 @@ def test_fig4f_sweep(benchmark, record_figure):
     def run():
         for strategy, series in (("degree", "DEG-CNTR"), ("random", "RND-CNTR")):
             for count in CENTER_COUNTS:
-                stats = {}
                 opts = PTOptions(
                     num_centers=count,
                     center_strategy=strategy,
                     clustering_centers=CLUSTERING_CENTERS,
-                    stats=stats,
                 )
-                sweep.run(series, count, pt_opt_census, graph, pattern, K, None, None,
-                          "cn", opts)
-                work[(series, count)] = stats["pops"] + stats["relaxations"]
+                _, c = run_counted(sweep.run, series, count, pt_opt_census, graph,
+                                   pattern, K, None, None, "cn", opts)
+                work[(series, count)] = (c["census.pt_opt.queue_pops"]
+                                         + c["census.pt_opt.relaxations"])
         return sweep
 
     run_once(benchmark, run)

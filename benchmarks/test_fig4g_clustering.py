@@ -18,7 +18,7 @@ from repro.census.pt_opt import PTOptions, pt_opt_census
 from repro.datasets.workloads import pa_graph
 from repro.lang.catalog import standard_catalog
 
-from conftest import run_once
+from conftest import run_counted, run_once
 
 GRAPH_SIZE = 4000
 K = 2
@@ -40,12 +40,11 @@ def test_fig4g_sweep(benchmark, record_figure):
                                  ("kmeans", "OPT-CLUST")):
             for divisor in DIVISORS:
                 clusters = max(1, num_matches // divisor)
-                stats = {}
-                opts = PTOptions(clustering=strategy, num_clusters=clusters, stats=stats)
-                label = clusters if strategy != "none" else clusters
-                sweep.run(series, label, pt_opt_census, graph, pattern, K, None, None,
-                          "cn", opts)
-                work[(series, divisor)] = stats["pops"] + stats["relaxations"]
+                opts = PTOptions(clustering=strategy, num_clusters=clusters)
+                _, c = run_counted(sweep.run, series, clusters, pt_opt_census, graph,
+                                   pattern, K, None, None, "cn", opts)
+                work[(series, divisor)] = (c["census.pt_opt.queue_pops"]
+                                           + c["census.pt_opt.relaxations"])
         return sweep
 
     run_once(benchmark, run)

@@ -19,6 +19,7 @@ from repro.census.approx import approximate_census, sample_size_for_error
 from repro.census.topk import census_topk
 from repro.graph.generators import preferential_attachment
 from repro.matching.pattern import Pattern
+from repro.obs import ObsContext
 
 
 def main():
@@ -34,17 +35,18 @@ def main():
     full = census(g, tri, 2, algorithm="nd-pvot")
     full_time = time.perf_counter() - t0
 
-    stats = {}
     t0 = time.perf_counter()
-    top = census_topk(g, tri, 2, 10, collect_stats=stats)
+    with ObsContext() as obs:
+        top = census_topk(g, tri, 2, 10)
     topk_time = time.perf_counter() - t0
+    evaluated = obs.registry.counter("census.topk.exact_evaluations").value
 
     print("top 10 egos by triangles within 2 hops:")
     for node, count in top:
         print(f"  node {node}: {count}")
     print(
         f"\nfull census: {full_time:.2f}s; top-k: {topk_time:.2f}s "
-        f"({stats['exact_evaluations']} of {g.num_nodes} nodes evaluated exactly)"
+        f"({evaluated} of {g.num_nodes} nodes evaluated exactly)"
     )
 
     hub = top[0][0]

@@ -71,27 +71,11 @@ def orbit_counts(graph, orbit, nodes=None, algorithm="nd-pvot"):
 
 
 def graphlet_profiles(graph, nodes=None, algorithm="nd-pvot"):
-    """``{node: (orbit0, orbit1, orbit2)}`` for every (focal) node.
-
-    The three orbit queries share one traversal per node via
-    :func:`repro.census.multi.multi_census`.
-    """
-    from repro.census.multi import multi_census
-
-    patterns = []
-    subpatterns = {}
-    for orbit in ORBITS:
-        builder, subpattern = _ORBIT_QUERIES[orbit]
-        pattern = builder()
-        patterns.append(pattern)
-        subpatterns[pattern.name] = subpattern
-    combined = multi_census(graph, patterns, 0, focal_nodes=nodes,
-                            subpatterns=subpatterns)
-    per_orbit = [combined[p.name] for p in patterns]
-    return {
-        n: tuple(counts[n] for counts in per_orbit)
-        for n in per_orbit[0]
-    }
+    """``{node: (orbit0, orbit1, orbit2)}`` for every (focal) node."""
+    if nodes is not None:
+        nodes = list(nodes)  # one focal list for all three censuses
+    per_orbit = [orbit_counts(graph, orbit, nodes, algorithm) for orbit in ORBITS]
+    return {n: tuple(counts[n] for counts in per_orbit) for n in per_orbit[0]}
 
 
 def graphlet_degree_distribution(graph, orbit, algorithm="nd-pvot"):

@@ -11,8 +11,8 @@ clusters them with the same K-means used by PT-OPT's match clustering.
 import math
 
 from repro.analysis.graphlets import graphlet_profiles
+from repro.census import census
 from repro.census.clustering import kmeans
-from repro.census.multi import multi_census
 from repro.errors import CensusError
 
 
@@ -20,36 +20,18 @@ def census_feature_vectors(graph, feature_queries, nodes=None):
     """Per-node feature vectors from a list of census queries.
 
     ``feature_queries`` is a list of ``(pattern, k)`` or ``(pattern, k,
-    subpattern_name)`` tuples; all patterns must have distinct names.
-    Queries with equal ``k`` share one traversal via
-    :func:`repro.census.multi.multi_census`.
+    subpattern_name)`` tuples; each is one ND-PVOT census.
     """
     if not feature_queries:
         raise CensusError("at least one feature query is required")
-    normalized = []
-    for q in feature_queries:
-        if len(q) == 2:
-            normalized.append((q[0], q[1], None))
-        else:
-            normalized.append(tuple(q))
-
-    by_k = {}
-    for i, (pattern, k, subpattern) in enumerate(normalized):
-        by_k.setdefault(k, []).append((i, pattern, subpattern))
-
-    columns = [None] * len(normalized)
-    for k, group in by_k.items():
-        patterns = [pattern for _i, pattern, _s in group]
-        subpatterns = {
-            pattern.name: s for _i, pattern, s in group if s is not None
-        }
-        combined = multi_census(graph, patterns, k, focal_nodes=nodes,
-                                subpatterns=subpatterns)
-        for i, pattern, _s in group:
-            columns[i] = combined[pattern.name]
-
-    node_list = list(columns[0])
-    return {n: tuple(col[n] for col in columns) for n in node_list}
+    if nodes is not None:
+        nodes = list(nodes)  # one focal list for every query
+    columns = [
+        census(graph, q[0], q[1], focal_nodes=nodes,
+               subpattern=q[2] if len(q) > 2 else None, algorithm="nd-pvot")
+        for q in feature_queries
+    ]
+    return {n: tuple(col[n] for col in columns) for n in columns[0]}
 
 
 def _log_scale(vector):

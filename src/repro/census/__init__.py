@@ -27,7 +27,6 @@ from repro.census.base import (
     CensusMatch, CensusRequest, global_matches, prepare_matches, validate_arguments,
 )
 from repro.census.incremental import IncrementalCensus
-from repro.census.multi import multi_census
 from repro.census.centers import CenterIndex, select_centers
 from repro.census.clustering import cluster_matches, kmeans
 from repro.census.nd_bas import nd_bas_census
@@ -184,5 +183,4 @@ __all__ = [
     "approximate_census",
     "sample_size_for_error",
     "IncrementalCensus",
-    "multi_census",
 ]

@@ -23,16 +23,16 @@ from repro.obs import current_obs
 
 
 def nd_pvot_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher="cn",
-                   pivot_var=None, collect_stats=None, matches=None):
+                   pivot_var=None, matches=None):
     """Per-node census by pivot indexing (the paper's best node-driven
     algorithm).
 
     ``pivot_var`` overrides the min-eccentricity pivot (used by the
-    pivot-selection ablation benchmark).  ``collect_stats``, if a dict,
-    receives counters for bulk-added vs explicitly-checked matches.
-    ``matches`` adopts an existing global match list instead of running
-    the matcher (callers such as top-k evaluation amortize one matching
-    pass over many census calls).
+    pivot-selection ablation benchmark); the ``census.nd_pvot`` span
+    records the pivot used and its eccentricity ``max_v``.  ``matches``
+    adopts an existing global match list instead of running the matcher
+    (callers such as top-k evaluation amortize one matching pass over
+    many census calls).
     """
     obs = current_obs()
     with obs.span("census.nd_pvot", k=k, pattern=pattern.name) as span:
@@ -52,6 +52,8 @@ def nd_pvot_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher
             pivot_dists = {y: dists[y] for y in request.containment_vars()}
             max_v = max(pivot_dists.values())
 
+        span.set("pivot", pivot_var)
+        span.set("max_v", max_v)
         pmi = PatternMatchIndex(units, pivot_var=pivot_var)
 
         # The images of containment variables at pattern distance >= 1
@@ -144,12 +146,6 @@ def nd_pvot_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher
                             else:
                                 total += 1
                 counts[n] = total
-        if collect_stats is not None:
-            collect_stats["bulk_added"] = bulk
-            collect_stats["explicitly_checked"] = checked
-            collect_stats["bfs_visited"] = visited
-            collect_stats["pivot"] = pivot_var
-            collect_stats["max_v"] = max_v
         if obs.enabled:
             # checks avoided = matches added wholesale via distance arithmetic.
             obs.add("census.nd_pvot.bulk_added", bulk)

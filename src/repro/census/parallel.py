@@ -54,11 +54,6 @@ from repro.exec.faults import active_plan, arm_process, fault_point, mark_worker
 from repro.matching import find_matches
 from repro.obs import ObsContext, Span, current_obs, detach_spans
 
-# collect_stats keys that describe the census plan rather than count
-# work; every chunk reports the same value, so merging keeps the first
-# instead of summing.
-_PLAN_STATS = {"pivot", "max_v"}
-
 # Worker-process state, installed once per worker by _init_worker.
 _WORKER = {}
 
@@ -85,21 +80,15 @@ def chunk_focal_nodes(focal_nodes, chunks):
 
 
 def _run_chunk_inline(graph, pattern, k, algorithm_fn, chunk, subpattern,
-                      matcher, matches, options, want_stats,
-                      budget_spec=None):
+                      matcher, matches, options, budget_spec=None):
     """Run one chunk under a private ObsContext.
 
-    Returns ``(counts, counters, elapsed, stats, spans)``; ``stats`` is
-    the chunk's private ``collect_stats`` dict (``None`` unless
-    requested) and ``spans`` the chunk's serialized span roots
-    (:meth:`~repro.obs.trace.Span.to_dict` documents, so they survive
-    the process boundary).  A mutable dict from the caller cannot be
-    written to directly — it would never cross a process boundary, and
-    successive chunks would overwrite each other — so each chunk fills
-    a fresh one and the parent merges them.  ``detach_spans`` suspends
-    any open parent span for the same reason: a serial (same-thread)
-    chunk must record into its private context exactly like a pool
-    worker, so the parent can stitch every executor's chunks uniformly.
+    Returns ``(counts, counters, elapsed, spans)``; ``spans`` are the
+    chunk's serialized span roots (:meth:`~repro.obs.trace.Span.to_dict`
+    documents, so they survive the process boundary).  ``detach_spans``
+    suspends any open parent span: a serial (same-thread) chunk must
+    record into its private context exactly like a pool worker, so the
+    parent can stitch every executor's chunks uniformly.
 
     ``budget_spec`` rebuilds and activates a fresh budget around the
     chunk (thread and process chunks do not see the parent's ambient
@@ -120,10 +109,6 @@ def _run_chunk_inline(graph, pattern, k, algorithm_fn, chunk, subpattern,
         kwargs = dict(options)
         if matches is not None:
             kwargs["matches"] = matches
-        stats = None
-        if want_stats:
-            stats = {}
-            kwargs["collect_stats"] = stats
         counts = algorithm_fn(
             graph, pattern, k, focal_nodes=chunk, subpattern=subpattern,
             matcher=matcher, **kwargs
@@ -131,23 +116,7 @@ def _run_chunk_inline(graph, pattern, k, algorithm_fn, chunk, subpattern,
     elapsed = time.perf_counter() - start
     counters = dict(ctx.registry.snapshot()["counters"])
     spans = [root.to_dict() for root in ctx.roots]
-    return counts, counters, elapsed, stats, spans
-
-
-def _merge_stats(target, chunk_stats):
-    """Merge per-chunk ``collect_stats`` dicts into the caller's dict.
-
-    Work counters (numeric values) sum across chunks; plan-describing
-    keys and non-numeric values are identical per chunk, so the first
-    occurrence wins.
-    """
-    for stats in chunk_stats:
-        for key, value in stats.items():
-            if (key in _PLAN_STATS or isinstance(value, bool)
-                    or not isinstance(value, (int, float))):
-                target.setdefault(key, value)
-            else:
-                target[key] = target.get(key, 0) + value
+    return counts, counters, elapsed, spans
 
 
 def _init_worker(payload):
@@ -158,7 +127,7 @@ def _init_worker(payload):
     fresh per-process hit counters.
     """
     (graph, pattern, k, subpattern, matcher, algorithm, matches, options,
-     want_stats, budget_spec, fault_plan) = pickle.loads(payload)
+     budget_spec, fault_plan) = pickle.loads(payload)
     from repro.census import ALGORITHMS
 
     mark_worker_process()
@@ -166,18 +135,17 @@ def _init_worker(payload):
         arm_process(fault_plan)
     _WORKER["args"] = (
         graph, pattern, k, ALGORITHMS[algorithm], subpattern, matcher,
-        matches, options, want_stats,
+        matches, options,
     )
     _WORKER["budget_spec"] = budget_spec
 
 
 def _run_chunk_in_worker(chunk):
     """Process-pool task: run one focal chunk against the shared state."""
-    (graph, pattern, k, fn, subpattern, matcher, matches, options,
-     want_stats) = _WORKER["args"]
+    graph, pattern, k, fn, subpattern, matcher, matches, options = _WORKER["args"]
     return _run_chunk_inline(
         graph, pattern, k, fn, chunk, subpattern, matcher, matches, options,
-        want_stats, budget_spec=_WORKER["budget_spec"],
+        budget_spec=_WORKER["budget_spec"],
     )
 
 
@@ -206,10 +174,9 @@ def parallel_census(graph, pattern, k, focal_nodes=None, subpattern=None,
         runs once in the parent and is shared with every chunk (except
         for ``nd-bas``, which has no global matching pass).
 
-    A ``collect_stats`` dict in ``options`` works as in the serial
-    census: each chunk fills a private dict and the merged totals
-    (numeric stats summed, plan-describing keys like ``pivot`` kept)
-    land in the caller's dict after all chunks finish.
+    Each chunk records into a private obs context; the parent sums the
+    chunks' counters into the ambient context and stitches their spans
+    under ``census.parallel``.
 
     Returns ``{focal_node: count}``, identical to the serial census.
     """
@@ -221,11 +188,6 @@ def parallel_census(graph, pattern, k, focal_nodes=None, subpattern=None,
             f"{sorted(ALGORITHMS)}"
         )
     fn = ALGORITHMS[algorithm]
-    # A caller-supplied collect_stats dict cannot be shared with the
-    # chunks (it would not survive pickling, and chunks would clobber
-    # each other's keys); each chunk fills its own and they merge back
-    # into the caller's dict at the end.
-    collect_stats = options.pop("collect_stats", None)
     obs = current_obs()
     with obs.span("census.parallel", algorithm=algorithm, k=k) as span:
         request = CensusRequest(graph, pattern, k, focal_nodes, subpattern)
@@ -252,19 +214,16 @@ def parallel_census(graph, pattern, k, focal_nodes=None, subpattern=None,
         results = _execute(
             executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
             subpattern, matcher, matches, options,
-            collect_stats is not None,
         )
 
         counts = {}
         merged = {}
         chunk_seconds = []
-        for chunk_counts, counters, elapsed, _, _ in results:
+        for chunk_counts, counters, elapsed, _ in results:
             counts.update(chunk_counts)
             chunk_seconds.append(elapsed)
             for name, value in counters.items():
                 merged[name] = merged.get(name, 0) + value
-        if collect_stats is not None:
-            _merge_stats(collect_stats, [stats for _, _, _, stats, _ in results])
         if obs.enabled:
             for name in sorted(merged):
                 obs.add(name, merged[name])
@@ -288,7 +247,7 @@ def _stitch_chunk_spans(parent_span, focal_chunks, results):
     Rebuilt spans keep only relative time (``start_time=0``): absolute
     ``perf_counter`` values are meaningless across processes.
     """
-    for index, (_, _, elapsed, _, span_docs) in enumerate(results):
+    for index, (_, _, elapsed, span_docs) in enumerate(results):
         chunk_span = Span(
             "census.parallel.chunk",
             {"chunk": index, "focal_nodes": len(focal_chunks[index])},
@@ -300,13 +259,12 @@ def _stitch_chunk_spans(parent_span, focal_chunks, results):
 
 
 def _execute(executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
-             subpattern, matcher, matches, options, want_stats):
+             subpattern, matcher, matches, options):
     """Run the chunks on the requested executor, in chunk order."""
     if executor == "serial":
         return [
             _run_chunk_inline(
-                graph, pattern, k, fn, chunk, subpattern, matcher, matches,
-                options, want_stats,
+                graph, pattern, k, fn, chunk, subpattern, matcher, matches, options,
             )
             for chunk in focal_chunks
         ]
@@ -319,8 +277,7 @@ def _execute(executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
             futures = [
                 pool.submit(
                     _run_chunk_inline, graph, pattern, k, fn, chunk,
-                    subpattern, matcher, matches, options, want_stats,
-                    budget_spec,
+                    subpattern, matcher, matches, options, budget_spec,
                 )
                 for chunk in focal_chunks
             ]
@@ -328,7 +285,7 @@ def _execute(executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
     if executor == "process":
         payload = pickle.dumps(
             (graph, pattern, k, subpattern, matcher, algorithm, matches,
-             options, want_stats, budget_spec, active_plan())
+             options, budget_spec, active_plan())
         )
         pool = None
         try:
@@ -346,7 +303,6 @@ def _execute(executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
                 return _execute(
                     "thread", workers, graph, pattern, k, fn, algorithm,
                     focal_chunks, subpattern, matcher, matches, options,
-                    want_stats,
                 )
             results = []
             crashed = []
@@ -370,7 +326,7 @@ def _execute(executor, workers, graph, pattern, k, fn, algorithm, focal_chunks,
                     # the serial counts.
                     results[index] = _run_chunk_inline(
                         graph, pattern, k, fn, focal_chunks[index],
-                        subpattern, matcher, matches, options, want_stats,
+                        subpattern, matcher, matches, options,
                     )
             return results
         finally:

@@ -15,12 +15,13 @@ from repro.obs import current_obs
 
 
 def pt_bas_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher="cn",
-                  collect_stats=None, matches=None):
+                  matches=None):
     """Per-node census, one independent BFS bundle per match.
 
-    ``collect_stats``, if a dict, receives ``edge_visits``: the number
-    of adjacency-list entries scanned across all per-match BFS runs —
-    the disk-I/O proxy the pattern-driven optimizations target.
+    Under an enabled obs context, counter ``census.pt_bas.edge_visits``
+    receives the number of adjacency-list entries scanned across all
+    per-match BFS runs — the disk-I/O proxy the pattern-driven
+    optimizations target.
     ``matches`` adopts an existing match list instead of running the
     matcher; unlike ND-PVOT, PT-BAS makes no pattern-distance
     assumptions about the adopted matches, so it also serves relaxed
@@ -32,13 +33,11 @@ def pt_bas_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher=
         counts = request.zero_counts()
         units = prepare_matches(request, matcher=matcher, matches=matches)
         if not units:
-            if collect_stats is not None:
-                collect_stats["edge_visits"] = 0
             return counts
 
         # Counting edge visits walks every BFS frontier a second time, so
-        # it stays opt-in: explicit collect_stats or an active obs context.
-        want_stats = collect_stats is not None or obs.enabled
+        # it runs only under an enabled obs context.
+        count_visits = obs.enabled
         budget = current_budget()
         edge_visits = 0
         focal = set(request.focal_nodes)
@@ -51,7 +50,7 @@ def pt_bas_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher=
                     if budget is not None:
                         budget.tick(len(layer))
                     hood |= layer
-                    if want_stats and d < k:
+                    if count_visits and d < k:
                         edge_visits += sum(graph.degree(x) for x in layer)
                 hoods.append(hood)
             # A node counts the match when it lies within k of *every*
@@ -63,8 +62,6 @@ def pt_bas_census(graph, pattern, k, focal_nodes=None, subpattern=None, matcher=
                 covered &= hood
             for n in covered & focal:
                 counts[n] += 1
-        if collect_stats is not None:
-            collect_stats["edge_visits"] = edge_visits
-        if obs.enabled:
+        if count_visits:
             obs.add("census.pt_bas.edge_visits", edge_visits)
         return counts

@@ -24,7 +24,7 @@ what Figures 4(d), 4(f) and 4(g) measure.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.census.base import CensusRequest, prepare_matches
@@ -55,7 +55,6 @@ class PTOptions:
     kmeans_iterations: int = 10
     seed: int = 0
     center_index: Optional[CenterIndex] = None  # precomputed override
-    stats: Optional[dict] = field(default=None, repr=False)
 
 
 def pt_opt_census(graph, pattern, k, focal_nodes=None, subpattern=None,
@@ -67,9 +66,7 @@ def pt_opt_census(graph, pattern, k, focal_nodes=None, subpattern=None,
     ``matches`` adopts an existing global match list instead of running
     the matcher.
     """
-    opts = options or PTOptions()
-    if overrides:
-        opts = PTOptions(**{**_as_dict(opts), **overrides})
+    opts = replace(options or PTOptions(), **overrides)
     obs = current_obs()
     with obs.span("census.pt_opt", k=k, pattern=pattern.name, order=opts.order):
         request = CensusRequest(graph, pattern, k, focal_nodes, subpattern)
@@ -108,11 +105,9 @@ def pt_opt_census(graph, pattern, k, focal_nodes=None, subpattern=None,
                 opts,
                 stats,
             )
-        if opts.stats is not None:
-            opts.stats.update(stats)
         if obs.enabled:
-            # Mirror the ad-hoc stats dict onto the registry; bucket-queue
-            # pops are the paper's "operations" axis for PT variants.
+            # Bucket-queue pops are the paper's "operations" axis for PT
+            # variants.
             obs.add("census.pt_opt.queue_pops", stats["pops"])
             obs.add("census.pt_opt.relaxations", stats["relaxations"])
             obs.add("census.pt_opt.clusters", stats["clusters"])
@@ -124,28 +119,11 @@ def pt_opt_census(graph, pattern, k, focal_nodes=None, subpattern=None,
 def pt_rnd_census(graph, pattern, k, focal_nodes=None, subpattern=None,
                   matcher="cn", options=None, matches=None, **overrides):
     """PT-OPT with random instead of best-first traversal order."""
-    opts = options or PTOptions()
-    merged = {**_as_dict(opts), **overrides, "order": "random"}
+    opts = replace(options or PTOptions(), **{**overrides, "order": "random"})
     return pt_opt_census(
         graph, pattern, k, focal_nodes=focal_nodes, subpattern=subpattern,
-        matcher=matcher, options=PTOptions(**merged), matches=matches,
+        matcher=matcher, options=opts, matches=matches,
     )
-
-
-def _as_dict(opts):
-    return {
-        "order": opts.order,
-        "distance_shortcuts": opts.distance_shortcuts,
-        "num_centers": opts.num_centers,
-        "center_strategy": opts.center_strategy,
-        "clustering": opts.clustering,
-        "num_clusters": opts.num_clusters,
-        "clustering_centers": opts.clustering_centers,
-        "kmeans_iterations": opts.kmeans_iterations,
-        "seed": opts.seed,
-        "center_index": opts.center_index,
-        "stats": opts.stats,
-    }
 
 
 def _build_center_indexes(graph, opts):

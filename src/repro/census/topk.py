@@ -28,40 +28,35 @@ from repro.obs import current_obs
 
 
 def census_topk(graph, pattern, k, K, focal_nodes=None, subpattern=None,
-                matcher="cn", batch_size=None, collect_stats=None):
+                matcher="cn", batch_size=None):
     """The ``K`` focal nodes with the largest census counts.
 
     Returns a list of ``(node, count)`` sorted by descending count.
     The returned *counts* always equal the top-K counts of a full
     census; when several nodes tie at the K-th count, any of the tied
     nodes may be returned (early termination cannot distinguish members
-    of a tie without evaluating all of them).  ``collect_stats``, if a
-    dict, receives ``exact_evaluations`` — how many nodes needed an
-    exact count (the saving over a full census is
-    ``len(focal) - exact_evaluations``).
+    of a tie without evaluating all of them).  Counter
+    ``census.topk.exact_evaluations`` records how many nodes needed an
+    exact count (the saving over a full census is ``len(focal)`` minus
+    it) and ``census.topk.candidates_total`` how many were ranked.
     """
     obs = current_obs()
-    if collect_stats is None and obs.enabled:
-        collect_stats = {}
     with obs.span("census.topk", k=k, K=K, pattern=pattern.name):
-        result = _census_topk(graph, pattern, k, K, focal_nodes, subpattern,
-                              matcher, batch_size, collect_stats)
-        if obs.enabled:
-            obs.add("census.topk.exact_evaluations",
-                    collect_stats.get("exact_evaluations", 0))
-            obs.add("census.topk.candidates_total",
-                    collect_stats.get("candidates_total", 0))
-        return result
+        top, evaluated, candidates = _census_topk(
+            graph, pattern, k, K, focal_nodes, subpattern, matcher, batch_size
+        )
+        obs.add("census.topk.exact_evaluations", evaluated)
+        obs.add("census.topk.candidates_total", candidates)
+        return top
 
 
 def _census_topk(graph, pattern, k, K, focal_nodes, subpattern, matcher,
-                 batch_size, collect_stats):
+                 batch_size):
+    """``(top-K list, exact evaluations, candidates)``."""
     request = CensusRequest(graph, pattern, k, focal_nodes, subpattern)
     focal = list(request.focal_nodes)
     if K <= 0 or not focal:
-        if collect_stats is not None:
-            collect_stats["exact_evaluations"] = 0
-        return []
+        return [], 0, 0
 
     # One matching pass, shared by the upper-bound diffusion and every
     # exact batch evaluation below.
@@ -70,10 +65,8 @@ def _census_topk(graph, pattern, k, K, focal_nodes, subpattern, matcher,
     )
     units = prepare_matches(request, matches=raw_matches)
     if not units:
-        if collect_stats is not None:
-            collect_stats["exact_evaluations"] = 0
         ranked = sorted(focal, key=repr)[:K]
-        return [(n, 0) for n in ranked]
+        return [(n, 0) for n in ranked], 0, 0
 
     pivot_var, _max_v, _dists = containment_distances(request)
     pmi = PatternMatchIndex(units, pivot_var=pivot_var)
@@ -117,7 +110,4 @@ def _census_topk(graph, pattern, k, K, focal_nodes, subpattern, matcher,
         i += batch_size
 
     results.sort(key=lambda t: (-t[1], repr(t[0])))
-    if collect_stats is not None:
-        collect_stats["exact_evaluations"] = len(exact)
-        collect_stats["candidates_total"] = len(ordered)
-    return results[:K]
+    return results[:K], len(exact), len(ordered)

@@ -226,20 +226,18 @@ def _cmd_explain(args, out):
 def _cmd_topk(args, out):
     from repro.census.topk import census_topk
     from repro.lang.catalog import standard_catalog
+    from repro.obs import ObsContext
 
     graph = _load_graph(args.graph)
     pattern = standard_catalog().get(args.pattern)
-    obs = _make_obs(args)
-    stats = {}
-    if obs is not None:
-        with obs:
-            top = census_topk(graph, pattern, args.radius, args.k,
-                              collect_stats=stats)
-    else:
-        top = census_topk(graph, pattern, args.radius, args.k,
-                          collect_stats=stats)
+    # The header reads the exact-evaluation counter, so the run always
+    # records into a context; it is emitted only when one was asked for.
+    obs = _make_obs(args) or ObsContext()
+    with obs:
+        top = census_topk(graph, pattern, args.radius, args.k)
+    evaluated = obs.registry.counter("census.topk.exact_evaluations").value
     print(f"top {args.k} egos for {args.pattern} within {args.radius} hops "
-          f"({stats['exact_evaluations']} exact evaluations):", file=out)
+          f"({evaluated} exact evaluations):", file=out)
     for node, count in top:
         print(f"  {node}: {count}", file=out)
     _emit_obs(obs, args, out)

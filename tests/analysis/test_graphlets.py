@@ -12,6 +12,7 @@ from repro.analysis.graphlets import (
 )
 from repro.graph.generators import erdos_renyi, preferential_attachment, watts_strogatz
 from repro.graph.graph import Graph
+from repro.obs import ObsContext
 
 
 def direct_orbits(graph, node):
@@ -55,6 +56,7 @@ class TestOrbitCounts:
         assert profiles[1] == (1, 0, 0)
         assert profiles[2] == (0, 1, 0)
         assert profiles[3] == (1, 0, 0)
+        assert graphlet_profiles(g, nodes=iter([1, 2])) == {1: (1, 0, 0), 2: (0, 1, 0)}
 
     def test_star_center(self):
         g = Graph()
@@ -63,6 +65,17 @@ class TestOrbitCounts:
         profiles = graphlet_profiles(g)
         assert profiles[1] == (0, 3, 0)  # C(3,2) open wedges centered at 1
         assert profiles[2] == (2, 0, 0)
+
+    def test_algorithm_is_honoured(self):
+        g = preferential_attachment(40, m=2, seed=8)
+        g.add_node("isolated")
+        with ObsContext() as obs:
+            profiles = graphlet_profiles(g, algorithm="pt-bas")
+        names = {span.name for root in obs.roots for span in root.walk()}
+        assert "census.pt_bas" in names
+        assert "census.nd_pvot" not in names
+        assert profiles == graphlet_profiles(g)
+        assert profiles["isolated"] == (0, 0, 0)
 
     def test_unknown_orbit(self):
         g = Graph()

@@ -83,6 +83,13 @@ def random_graph(rng, n, directed, naming):
     return g
 
 
+WORK_COUNTERS = (
+    "census.nd_pvot.bulk_added",
+    "census.nd_pvot.containment_checks",
+    "census.nd_pvot.bfs_expansions",
+)
+
+
 def focal_sets(rng, nodes):
     """Every focal-set shape the kernel must handle."""
     partial = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
@@ -96,14 +103,22 @@ def focal_sets(rng, nodes):
 
 
 def pvot(graph, pattern, k, focal, subpattern):
-    """ND-PVOT's counts, work counters and ``census.nd_pvot`` span attrs."""
-    stats = {}
+    """ND-PVOT's counts, work figures and ``census.nd_pvot`` span attrs.
+
+    The work figures are the loop-independent ones: the bulk/checked/
+    visited counters plus the span's pivot and ``max_v`` (empty when no
+    match reached the focal loop).
+    """
     with ObsContext() as obs:
         counts = nd_pvot_census(graph, pattern, k, focal_nodes=focal,
-                                subpattern=subpattern, collect_stats=stats)
+                                subpattern=subpattern)
     spans = [s for root in obs.roots for s in root.walk() if s.name == "census.nd_pvot"]
     assert len(spans) == 1
-    return counts, stats, spans[0].attrs
+    attrs = spans[0].attrs
+    work = {name: value for name, value in obs.registry.snapshot()["counters"].items()
+            if name in WORK_COUNTERS}
+    work.update((key, attrs[key]) for key in ("pivot", "max_v") if key in attrs)
+    return counts, work, attrs
 
 
 def set_loop(monkeypatch, graph, pattern, k, focal, subpattern):

@@ -201,35 +201,30 @@ class TestObservability:
         assert "census.nd_pvot" not in {c.name for c in root.children}
         assert [c.name for c in root.children].count("census.parallel.chunk") == 2
 
-    @pytest.mark.parametrize("executor", ("serial", "thread"))
-    def test_collect_stats_merged_across_chunks(self, executor):
-        # Regression: the caller's collect_stats dict used to come back
-        # empty (process mode) or holding only the last chunk's numbers
-        # (thread/serial); chunks now fill private dicts that merge.
-        g = preferential_attachment(40, m=2, seed=9)
+    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    def test_work_counters_and_plan_attrs_merged(self, executor):
+        # Work figures travel only as counters and span attrs: every
+        # executor (process workers included) sums the chunks' work
+        # counters to the serial totals, and each chunk's census span
+        # carries the serial run's pivot and max_v.
+        g = freeze(preferential_attachment(40, m=2, seed=9))
         pattern = triangle()
-        serial_stats = {}
-        want = ALGORITHMS["nd-pvot"](g, pattern, 2, collect_stats=serial_stats)
-        stats = {}
-        got = parallel_census(
-            g, pattern, 2, algorithm="nd-pvot", workers=4, executor=executor,
-            collect_stats=stats,
-        )
+        with ObsContext() as serial:
+            want = ALGORITHMS["nd-pvot"](g, pattern, 2)
+        with ObsContext() as obs:
+            got = parallel_census(g, pattern, 2, algorithm="nd-pvot", workers=2,
+                                  executor=executor)
         assert got == want
-        for key in ("bulk_added", "explicitly_checked", "bfs_visited"):
-            assert stats[key] == serial_stats[key], key
-        assert stats["pivot"] == serial_stats["pivot"]
-        assert stats["max_v"] == serial_stats["max_v"]
-
-    def test_collect_stats_through_process_pool(self):
-        csr = freeze(preferential_attachment(30, m=2, seed=6))
-        pattern = triangle()
-        stats = {}
-        parallel_census(
-            csr, pattern, 2, algorithm="nd-pvot", workers=2,
-            executor="process", collect_stats=stats,
-        )
-        assert stats["bfs_visited"] > 0
+        counters = obs.registry.snapshot()["counters"]
+        for name in ("census.nd_pvot.bulk_added", "census.nd_pvot.containment_checks",
+                     "census.nd_pvot.bfs_expansions"):
+            assert counters[name] == serial.registry.counter(name).value > 0, name
+        plan = serial.root("census.nd_pvot").attrs
+        chunk_spans = [s for s in obs.root("census.parallel").walk()
+                       if s.name == "census.nd_pvot"]
+        assert len(chunk_spans) == 2
+        for span in chunk_spans:
+            assert (span.attrs["pivot"], span.attrs["max_v"]) == (plan["pivot"], plan["max_v"])
 
     def test_merge_is_deterministic(self):
         g = labeled_preferential_attachment(35, m=2, seed=4)

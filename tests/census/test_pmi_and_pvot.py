@@ -11,6 +11,7 @@ from repro.census.pmi import PatternMatchIndex
 from repro.graph.generators import preferential_attachment
 from repro.graph.graph import Graph
 from repro.matching.pattern import Pattern
+from repro.obs import ObsContext
 
 
 def triangle():
@@ -110,12 +111,14 @@ class TestNDPvot:
 
     def test_stats_track_bulk_vs_checked(self):
         g = preferential_attachment(60, m=3, seed=4)
-        stats = {}
-        nd_pvot_census(g, triangle(), 3, collect_stats=stats)
-        assert stats["pivot"] in ("A", "B", "C")
-        assert stats["max_v"] == 1
+        with ObsContext() as obs:
+            nd_pvot_census(g, triangle(), 3)
+        span = obs.root("census.nd_pvot")
+        assert span.attrs["pivot"] in ("A", "B", "C")
+        assert span.attrs["max_v"] == 1
         # With k=3 >> pattern radius, most additions are bulk.
-        assert stats["bulk_added"] > 0
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["census.nd_pvot.bulk_added"] > 0
 
     def test_bulk_shortcut_consistent_with_explicit(self):
         # k == max_v forces explicit checks everywhere near the rim.

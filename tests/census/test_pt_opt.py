@@ -13,6 +13,7 @@ from repro.census.pt_bas import pt_bas_census
 from repro.census.pt_opt import PTOptions, pt_opt_census, pt_rnd_census
 from repro.graph.generators import labeled_preferential_attachment, preferential_attachment
 from repro.matching.pattern import Pattern
+from repro.obs import ObsContext
 
 
 def triangle():
@@ -60,6 +61,12 @@ class TestOptionCombinations:
         g = preferential_attachment(40, m=2, seed=6)
         baseline = nd_bas_census(g, triangle(), 2)
         assert pt_rnd_census(g, triangle(), 2) == baseline
+        # An order from the options or an override never displaces "random".
+        with ObsContext() as obs:
+            got = pt_rnd_census(g, triangle(), 2, options=PTOptions(order="fifo"),
+                                order="best", num_centers=2)
+        assert got == baseline
+        assert obs.root("census.pt_opt").attrs["order"] == "random"
 
     def test_bad_order_rejected(self):
         g = preferential_attachment(20, m=2, seed=6)
@@ -76,12 +83,12 @@ class TestOptionCombinations:
 class TestStats:
     def test_stats_populated(self):
         g = preferential_attachment(60, m=2, seed=8)
-        stats = {}
-        opts = PTOptions(stats=stats)
-        pt_opt_census(g, triangle(), 2, options=opts)
-        assert stats["pops"] > 0
-        assert stats["clusters"] >= 1
-        assert stats["touched"] > 0
+        with ObsContext() as obs:
+            pt_opt_census(g, triangle(), 2)
+        counters = obs.registry.snapshot()["counters"]
+        assert counters["census.pt_opt.queue_pops"] > 0
+        assert counters["census.pt_opt.clusters"] >= 1
+        assert counters["census.pt_opt.nodes_touched"] > 0
 
     def test_best_first_pops_at_most_random(self):
         # The paper's Figure 2 argument: best-first avoids reinsertions.
@@ -95,10 +102,10 @@ class TestStats:
         p.add_edge("A", "C")
         pops = {}
         for order in ("best", "random"):
-            stats = {}
-            opts = PTOptions(order=order, clustering="none", num_centers=0, stats=stats, seed=3)
-            pt_opt_census(g, p, 2, options=opts)
-            pops[order] = stats["pops"]
+            opts = PTOptions(order=order, clustering="none", num_centers=0, seed=3)
+            with ObsContext() as obs:
+                pt_opt_census(g, p, 2, options=opts)
+            pops[order] = obs.registry.counter("census.pt_opt.queue_pops").value
         assert pops["best"] <= pops["random"]
 
 

@@ -8,6 +8,7 @@ from repro.census.topk import census_topk
 from repro.graph.generators import labeled_preferential_attachment, preferential_attachment
 from repro.graph.graph import Graph
 from repro.matching.pattern import Pattern
+from repro.obs import ObsContext
 
 
 def triangle():
@@ -97,13 +98,17 @@ class TestEarlyTermination:
         # Skewed graph: triangles concentrate at hubs, so the threshold
         # fires long before every node is evaluated.
         g = preferential_attachment(400, m=3, seed=3)
-        stats = {}
-        top = census_topk(g, triangle(), 2, 5, collect_stats=stats)
-        assert stats["exact_evaluations"] < g.num_nodes
+        with ObsContext() as obs:
+            top = census_topk(g, triangle(), 2, 5)
+        assert obs.registry.counter("census.topk.exact_evaluations").value < g.num_nodes
         assert_valid_topk(top, g, triangle(), 2, 5)
 
     def test_stats_shape(self):
         g = preferential_attachment(30, m=2, seed=2)
-        stats = {}
-        census_topk(g, triangle(), 1, 2, collect_stats=stats)
-        assert set(stats) == {"exact_evaluations", "candidates_total"}
+        with ObsContext() as obs:
+            census_topk(g, triangle(), 1, 2)
+        topk = {name: value for name, value in obs.registry.snapshot()["counters"].items()
+                if name.startswith("census.topk.")}
+        assert set(topk) == {"census.topk.exact_evaluations", "census.topk.candidates_total"}
+        assert 0 < topk["census.topk.exact_evaluations"] <= topk["census.topk.candidates_total"]
+        assert topk["census.topk.candidates_total"] == g.num_nodes

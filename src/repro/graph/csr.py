@@ -5,24 +5,24 @@ a :class:`CSRGraph`: an immutable snapshot whose adjacency lives in
 int-indexed compressed-sparse-row arrays (``array('q')`` index and
 offset vectors — no third-party dependency).  The snapshot implements
 the same access-path surface as :class:`repro.graph.graph.Graph`, so
-every matcher and census algorithm runs on it unchanged, while the hot
-paths get three structural advantages:
+every matcher, census algorithm and :mod:`repro.graph.traversal` BFS
+runs on it unchanged.  It does two jobs beyond that surface:
 
-- **contiguous adjacency** — neighbors of a node are one slice of one
-  array, iterated as a cached tuple of dense int indexes instead of a
-  hash-set walk; the direction-blind union adjacency that directed
-  graphs recompute per ``neighbors()`` call is materialized once;
-- **label-partitioned adjacency + per-label node indexes** — each
-  node's union-adjacency slice is grouped by neighbor label, so node
-  profiles (the CN matcher's candidate filter) are read off slice
-  widths, and ``nodes_with_label`` is a precomputed bucket.  The
-  snapshot carries a ready :class:`CSRProfileIndex` with the
-  :class:`repro.graph.profiles.NodeProfileIndex` API, which
-  ``enumerate_candidates`` picks up automatically;
-- **native traversal** — BFS over the int arrays with a byte-mask
-  visited set (:mod:`repro.graph.traversal` dispatches to the
-  ``_native_bfs_*`` hooks), the dominant cost of the node-driven census
-  algorithms.
+- **zero-copy union adjacency for ND-PVOT** — the direction-blind
+  adjacency is one pair of CSR vectors (:meth:`CSRGraph.union_adjacency`)
+  over the dense node indexes of :attr:`CSRGraph.node_index`, which the
+  bit-parallel kernel in :mod:`repro.census.indexed` views in place
+  instead of indexing the graph per call;
+- **a ready profile index for CN** — each node's union-adjacency slice
+  is grouped by neighbor label, so node profiles (the CN matcher's
+  candidate filter) are read off slice widths, and ``nodes_with_label``
+  is a bucket built at freeze time.  :attr:`CSRGraph.profile_index`
+  serves them with the :class:`repro.graph.profiles.NodeProfileIndex`
+  API, which ``enumerate_candidates`` picks up automatically.
+
+``neighbors()`` hands out per-node frozensets of ids built once per
+snapshot, so the direction-blind union a directed dict graph recomputes
+per call is materialized once.
 
 Snapshots are cheap to share with worker processes: pickling keeps only
 the canonical arrays and attribute dicts and rebuilds derived caches
@@ -32,18 +32,8 @@ lazily on first use (see :mod:`repro.census.parallel`).
 from array import array
 from collections import Counter
 
-try:  # pragma: no cover - exercised via both branches in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graph.graph import LABEL_KEY, Graph
-
-
-def numpy_available():
-    """True when the optional numpy acceleration is importable."""
-    return _np is not None
 
 
 def freeze(graph):
@@ -116,12 +106,6 @@ class CSRGraph:
         "_label_slices",
         "_by_label",
         # Derived caches, rebuilt lazily after unpickling.
-        "_adj_all",
-        "_adj_out",
-        "_adj_in",
-        "_idx_sets",
-        "_np_adj",
-        "_identity_cache",
         "_nbr_all",
         "_nbr_out",
         "_nbr_in",
@@ -206,12 +190,6 @@ class CSRGraph:
         return indptr, indices
 
     def _init_caches(self):
-        self._adj_all = None
-        self._adj_out = None
-        self._adj_in = None
-        self._idx_sets = None
-        self._np_adj = None
-        self._identity_cache = None
         self._nbr_all = None
         self._nbr_out = None
         self._nbr_in = None
@@ -249,58 +227,31 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived caches
     # ------------------------------------------------------------------
-    def _tuples(self, indptr, indices):
-        flat = indices.tolist()
-        return [tuple(flat[indptr[i]:indptr[i + 1]]) for i in range(len(self._ids))]
-
-    def _adjacency(self):
-        """Per-node tuples of neighbor *indexes* (the native-BFS fuel)."""
-        adj = self._adj_all
-        if adj is None:
-            adj = self._adj_all = self._tuples(self._all_indptr, self._all_indices)
-        return adj
-
-    def _index_sets(self):
-        """Per-node frozensets of neighbor indexes.
-
-        The native BFS expands whole frontiers with C-level set unions
-        over these, which is where the CSR backend's traversal speedup
-        comes from: one hash per edge inside the union instead of a
-        Python-level loop iteration per edge.
-        """
-        sets = self._idx_sets
-        if sets is None:
-            sets = self._idx_sets = [frozenset(row) for row in self._adjacency()]
-        return sets
+    def _id_sets(self, indptr, indices):
+        """Per-node frozensets of neighbor ids, one per CSR row."""
+        ids = self._ids
+        flat = [ids[j] for j in indices]
+        return [frozenset(flat[indptr[i]:indptr[i + 1]]) for i in range(len(ids))]
 
     def _neighbor_sets(self, kind):
-        ids = self._ids
         if kind == "all":
             sets = self._nbr_all
             if sets is None:
-                sets = self._nbr_all = [
-                    frozenset(ids[j] for j in row) for row in self._adjacency()
-                ]
+                sets = self._nbr_all = self._id_sets(self._all_indptr, self._all_indices)
         elif kind == "out":
             sets = self._nbr_out
             if sets is None:
-                if not self.directed:
-                    sets = self._nbr_out = self._neighbor_sets("all")
-                else:
-                    sets = self._nbr_out = [
-                        frozenset(ids[j] for j in row)
-                        for row in self._tuples(self._out_indptr, self._out_indices)
-                    ]
+                sets = self._nbr_out = (
+                    self._id_sets(self._out_indptr, self._out_indices)
+                    if self.directed else self._neighbor_sets("all")
+                )
         else:
             sets = self._nbr_in
             if sets is None:
-                if not self.directed:
-                    sets = self._nbr_in = self._neighbor_sets("all")
-                else:
-                    sets = self._nbr_in = [
-                        frozenset(ids[j] for j in row)
-                        for row in self._tuples(self._in_indptr, self._in_indices)
-                    ]
+                sets = self._nbr_in = (
+                    self._id_sets(self._in_indptr, self._in_indices)
+                    if self.directed else self._neighbor_sets("all")
+                )
         return sets
 
     def _profiles(self):
@@ -324,29 +275,12 @@ class CSRGraph:
         return idx
 
     # ------------------------------------------------------------------
-    # Columnar access (int-indexed views for vectorized consumers)
+    # Int-indexed views for the bit-parallel ND-PVOT kernel
     # ------------------------------------------------------------------
     @property
     def node_index(self):
         """Mapping from node id to its dense CSR index (do not mutate)."""
         return self._index
-
-    @property
-    def node_ids(self):
-        """List of node ids in index order (do not mutate)."""
-        return self._ids
-
-    def frontier_arrays(self, source, max_depth=None):
-        """BFS frontiers from ``source`` as sorted int64 *index* arrays.
-
-        The vectorized census paths consume these directly instead of
-        id-space sets.  Requires the optional numpy acceleration; gate
-        callers on :func:`numpy_available`.
-        """
-        if _np is None:
-            raise GraphError("frontier_arrays requires numpy")
-        self._require_node(source)
-        return self._frontier_arrays(source, max_depth)
 
     def union_adjacency(self):
         """The direction-blind adjacency as raw CSR vectors
@@ -450,8 +384,13 @@ class CSRGraph:
     # Adjacency
     # ------------------------------------------------------------------
     def neighbors(self, node):
-        self._require_node(node)
-        return self._neighbor_sets("all")[self._index[node]]
+        # The BFS and the matchers call this once per visited node: one
+        # index lookup, no helper calls once the sets are built.
+        try:
+            i = self._index[node]
+        except KeyError:
+            raise NodeNotFoundError(node) from None
+        return (self._nbr_all or self._neighbor_sets("all"))[i]
 
     def out_neighbors(self, node):
         self._require_node(node)
@@ -460,16 +399,6 @@ class CSRGraph:
     def in_neighbors(self, node):
         self._require_node(node)
         return self._neighbor_sets("in")[self._index[node]]
-
-    def neighbors_with_label(self, node, label):
-        """Neighbors of ``node`` labeled ``label`` (one contiguous run)."""
-        self._require_node(node)
-        ids = self._ids
-        flat = self._all_indices
-        for run_label, start, end in self._label_slices[self._index[node]]:
-            if run_label == label:
-                return tuple(ids[flat[j]] for j in range(start, end))
-        return ()
 
     def degree(self, node):
         self._require_node(node)
@@ -485,134 +414,6 @@ class CSRGraph:
         self._require_node(node)
         i = self._index[node]
         return self._in_indptr[i + 1] - self._in_indptr[i]
-
-    # ------------------------------------------------------------------
-    # Native traversal hooks (dispatched by repro.graph.traversal)
-    # ------------------------------------------------------------------
-    def _np_adjacency(self):
-        """Zero-copy int64 views of the union-adjacency CSR vectors."""
-        adj = self._np_adj
-        if adj is None:
-            adj = self._np_adj = (
-                _np.frombuffer(self._all_indptr, dtype=_np.int64),
-                _np.frombuffer(self._all_indices, dtype=_np.int64),
-            )
-        return adj
-
-    def _ids_are_identity(self):
-        """True when node ids are exactly the indexes ``0..n-1`` — BFS
-        layers can then skip the index-to-id remapping entirely."""
-        flag = self._identity_cache
-        if flag is None:
-            flag = self._identity_cache = all(
-                type(n) is int and n == i for i, n in enumerate(self._ids)
-            )
-        return flag
-
-    def _frontier_arrays(self, source, max_depth):
-        """Yield BFS frontiers as sorted int64 index arrays (numpy path).
-
-        Each expansion is four vectorized steps: gather every frontier
-        node's adjacency slice out of the CSR vectors, drop visited
-        entries with a boolean mask, dedupe with ``unique``, mark the
-        survivors visited.  No per-edge Python bytecode at all.
-        """
-        indptr, indices = self._np_adjacency()
-        n = len(self._ids)
-        visited = _np.zeros(n, dtype=bool)
-        layer_mask = _np.zeros(n, dtype=bool)
-        frontier = _np.array([self._index[source]], dtype=_np.int64)
-        visited[frontier] = True
-        yield frontier
-        d = 0
-        while frontier.size and (max_depth is None or d < max_depth):
-            d += 1
-            if frontier.size == 1:
-                u = frontier[0]
-                nbrs = indices[indptr[u]:indptr[u + 1]]
-            else:
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if not total:
-                    return
-                ends = _np.cumsum(counts)
-                offsets = _np.repeat(starts - ends + counts, counts) + _np.arange(total)
-                nbrs = indices[offsets]
-            nbrs = nbrs[~visited[nbrs]]
-            if not nbrs.size:
-                return
-            # Dedupe via the reusable layer mask: cheaper than np.unique
-            # (no hashing, no sort), and flatnonzero returns sorted order.
-            layer_mask[nbrs] = True
-            frontier = _np.flatnonzero(layer_mask)
-            layer_mask[frontier] = False
-            visited[frontier] = True
-            yield frontier
-
-    def _frontiers(self, source, max_depth):
-        """Yield BFS frontiers as sets of node indexes, layer by layer."""
-        if _np is not None:
-            for arr in self._frontier_arrays(source, max_depth):
-                yield set(arr.tolist())
-            return
-        nbrs = self._index_sets()
-        frontier = {self._index[source]}
-        visited = set(frontier)
-        yield frontier
-        d = 0
-        while frontier and (max_depth is None or d < max_depth):
-            d += 1
-            nxt = set()
-            for u in frontier:
-                nxt |= nbrs[u]
-            nxt -= visited
-            if not nxt:
-                return
-            visited |= nxt
-            yield nxt
-            frontier = nxt
-
-    def _native_bfs_distances(self, source, max_depth=None):
-        self._require_node(source)
-        ids = self._ids
-        dist = {}
-        for d, frontier in enumerate(self._frontiers(source, max_depth)):
-            for v in frontier:
-                dist[ids[v]] = d
-        return dist
-
-    def _native_bfs_layers(self, source, max_depth=None):
-        self._require_node(source)
-        ids = self._ids
-        for d, frontier in enumerate(self._frontiers(source, max_depth)):
-            for v in frontier:
-                yield ids[v], d
-
-    def _native_bfs_layer_sets(self, source, max_depth=None):
-        self._require_node(source)
-        if _np is not None and self._ids_are_identity():
-            # Index sets ARE id sets; one tolist per layer, nothing else.
-            for arr in self._frontier_arrays(source, max_depth):
-                yield set(arr.tolist())
-            return
-        ids = self._ids
-        for frontier in self._frontiers(source, max_depth):
-            yield {ids[v] for v in frontier}
-
-    def _native_k_hop_nodes(self, source, k):
-        self._require_node(source)
-        ids = self._ids
-        if _np is not None:
-            layers = list(self._frontier_arrays(source, k))
-            flat = _np.concatenate(layers) if len(layers) > 1 else layers[0]
-            if self._ids_are_identity():
-                return set(flat.tolist())
-            return {ids[v] for v in flat.tolist()}
-        visited = set()
-        for frontier in self._frontiers(source, k):
-            visited |= frontier
-        return {ids[v] for v in visited}
 
     # ------------------------------------------------------------------
     # Utilities

@@ -6,16 +6,43 @@ neighbor sets ``N_k(n)``, distance maps, and induced ego subgraphs
 graphs, matching the paper's definition of a k-hop neighborhood ("nodes
 reachable from n in k hops or less" through any incident edge).
 
-Graphs may provide native traversal hooks (``_native_bfs_distances``,
-``_native_bfs_layers``, ``_native_k_hop_nodes``); the entry points here
-dispatch to them when present.  :class:`repro.graph.csr.CSRGraph` uses
-this to run BFS over its int-indexed CSR arrays with a byte-mask
-visited set — same results, a fraction of the hashing cost.
+There is one BFS, :func:`bfs_layer_sets`, and every entry point here is
+built on it.  It reads nothing but ``has_node`` and ``neighbors`` of the
+graph, so the dict :class:`repro.graph.graph.Graph`, a CSR snapshot and
+a :class:`repro.storage.DiskGraph` all run the same code.  A source the
+graph does not have raises :class:`repro.errors.NodeNotFoundError` at
+every depth.
 """
 
-from collections import deque
-
+from repro.errors import NodeNotFoundError
 from repro.graph.views import induced_subgraph
+
+
+def bfs_layer_sets(graph, source, max_depth=None):
+    """Yield the BFS layers of ``source`` as sets: layer ``d`` holds the
+    nodes at distance exactly ``d`` (the source alone is layer 0).
+
+    ``max_depth=None`` explores the whole connected component.  Each
+    layer is one C-level union of the previous layer's neighbor sets
+    minus the nodes already seen, so the per-edge work runs inside set
+    algebra, not in Python bytecode.  The sets ``neighbors()`` returns
+    are only read, never updated in place.
+    """
+    if not graph.has_node(source):
+        raise NodeNotFoundError(source)
+    neighbors = graph.neighbors
+    seen = {source}
+    frontier = {source}
+    yield frontier
+    d = 0
+    while max_depth is None or d < max_depth:
+        d += 1
+        frontier = set().union(*map(neighbors, frontier))
+        frontier -= seen
+        if not frontier:
+            return
+        seen |= frontier
+        yield frontier
 
 
 def bfs_distances(graph, source, max_depth=None):
@@ -24,80 +51,22 @@ def bfs_distances(graph, source, max_depth=None):
     ``max_depth=None`` explores the whole connected component.  The source
     is included with distance 0.
     """
-    native = getattr(graph, "_native_bfs_distances", None)
-    if native is not None:
-        return native(source, max_depth)
-    dist = {source: 0}
-    queue = deque((source,))
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for nbr in graph.neighbors(node):
-            if nbr not in dist:
-                dist[nbr] = d + 1
-                queue.append(nbr)
+    dist = {}
+    for d, layer in enumerate(bfs_layer_sets(graph, source, max_depth)):
+        dist.update(dict.fromkeys(layer, d))
     return dist
 
 
 def bfs_layers(graph, source, max_depth=None):
     """Yield ``(node, distance)`` pairs in BFS order from ``source``."""
-    native = getattr(graph, "_native_bfs_layers", None)
-    if native is not None:
-        yield from native(source, max_depth)
-        return
-    dist = {source: 0}
-    queue = deque((source,))
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        yield node, d
-        if max_depth is not None and d >= max_depth:
-            continue
-        for nbr in graph.neighbors(node):
-            if nbr not in dist:
-                dist[nbr] = d + 1
-                queue.append(nbr)
-
-
-def bfs_layer_sets(graph, source, max_depth=None):
-    """Yield the BFS layers of ``source`` as sets: layer ``d`` holds the
-    nodes at distance exactly ``d`` (the source alone is layer 0).
-
-    The census hot loops consume layers instead of single nodes so the
-    distance bookkeeping happens once per layer and containment regions
-    can be assembled with set unions; CSR snapshots produce the layers
-    natively with whole-frontier set algebra.
-    """
-    native = getattr(graph, "_native_bfs_layer_sets", None)
-    if native is not None:
-        yield from native(source, max_depth)
-        return
-    seen = {source}
-    frontier = {source}
-    yield frontier
-    d = 0
-    while frontier and (max_depth is None or d < max_depth):
-        d += 1
-        nxt = set()
-        for node in frontier:
-            for nbr in graph.neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    nxt.add(nbr)
-        if not nxt:
-            return
-        yield nxt
-        frontier = nxt
+    for d, layer in enumerate(bfs_layer_sets(graph, source, max_depth)):
+        for node in layer:
+            yield node, d
 
 
 def k_hop_nodes(graph, source, k):
     """The node set ``N_k(source)``: nodes within ``k`` hops, inclusive."""
-    native = getattr(graph, "_native_k_hop_nodes", None)
-    if native is not None:
-        return native(source, k)
-    return set(bfs_distances(graph, source, max_depth=k))
+    return set().union(*bfs_layer_sets(graph, source, k))
 
 
 def k_hop_distances(graph, source, k):
@@ -112,22 +81,10 @@ def ego_subgraph(graph, source, k):
 
 def shortest_path_length(graph, source, target, max_depth=None):
     """Hop distance from ``source`` to ``target`` or ``None`` if farther
-    than ``max_depth`` (or disconnected)."""
-    if source == target:
-        return 0
-    dist = {source: 0}
-    queue = deque((source,))
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for nbr in graph.neighbors(node):
-            if nbr == target:
-                return d + 1
-            if nbr not in dist:
-                dist[nbr] = d + 1
-                queue.append(nbr)
+    than ``max_depth`` (or disconnected).  Stops at ``target``'s layer."""
+    for d, layer in enumerate(bfs_layer_sets(graph, source, max_depth)):
+        if target in layer:
+            return d
     return None
 
 
@@ -148,11 +105,11 @@ def connected_components(graph):
     for node in graph.nodes():
         if node in seen:
             continue
-        component = set(bfs_distances(graph, node))
+        component = set().union(*bfs_layer_sets(graph, node))
         seen |= component
         yield component
 
 
 def eccentricity(graph, node):
     """Largest hop distance from ``node`` to any reachable node."""
-    return max(bfs_distances(graph, node).values())
+    return sum(1 for _layer in bfs_layer_sets(graph, node)) - 1

@@ -4,30 +4,41 @@ A :class:`repro.graph.csr.CSRGraph` must be indistinguishable from the
 ``Graph`` it froze for every read: same nodes, edges, attributes,
 adjacency, traversal results, matcher output, and census counts.  The
 property tests here drive random labeled/directed graphs through both
-backends and compare; the numpy-free fallback is exercised by stubbing
-the module's numpy handle.
+backends and compare; the numpy-free census path is exercised by
+stubbing :mod:`repro.census.indexed`'s numpy handle.
 """
 
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.census.indexed
-import repro.graph.csr
 from repro.census import ALGORITHMS
 from repro.errors import GraphError, NodeNotFoundError
-from repro.graph.csr import CSRGraph, freeze, numpy_available
+from repro.graph.csr import CSRGraph, freeze
 from repro.graph.generators import (
     erdos_renyi,
     labeled_preferential_attachment,
     preferential_attachment,
 )
 from repro.graph.graph import Graph
-from repro.graph.traversal import bfs_distances, bfs_layer_sets, k_hop_nodes
+from repro.graph.traversal import (
+    bfs_distances,
+    bfs_layer_sets,
+    bfs_layers,
+    connected_components,
+    eccentricity,
+    k_hop_distances,
+    k_hop_nodes,
+    shortest_path_length,
+)
 from repro.matching import find_matches
 from repro.matching.pattern import Pattern
+from repro.storage import DiskGraph
 
 CENSUS_SERIES = [name for name in ALGORITHMS]
 MATCHERS = ("cn", "gql")
@@ -66,6 +77,23 @@ def directed_path(labels=("A", "B", "C")):
     return p
 
 
+def traversal_results(graph, source, k):
+    """What every traversal entry point returns for ``source`` and ``k``."""
+    return {
+        "bfs_distances": bfs_distances(graph, source, max_depth=k),
+        "bfs_distances_unbounded": bfs_distances(graph, source),
+        "bfs_layer_sets": list(bfs_layer_sets(graph, source, max_depth=k)),
+        "bfs_layers": sorted(bfs_layers(graph, source, max_depth=k), key=repr),
+        "k_hop_nodes": k_hop_nodes(graph, source, k),
+        "k_hop_distances": k_hop_distances(graph, source, k),
+        "shortest_path_length": {
+            t: shortest_path_length(graph, source, t, max_depth=k) for t in graph.nodes()
+        },
+        "eccentricity": eccentricity(graph, source),
+        "connected_components": sorted(map(sorted, connected_components(graph))),
+    }
+
+
 def assert_same_reads(graph, csr):
     assert csr.directed == graph.directed
     assert csr.num_nodes == graph.num_nodes
@@ -96,29 +124,38 @@ class TestAccessPathEquivalence:
         g = random_labeled_digraph(n, seed)
         assert_same_reads(g, freeze(g))
 
-    @given(st.integers(5, 25), st.integers(0, 100), st.integers(0, 4))
-    def test_traversal_agreement(self, n, seed, k):
-        g = random_labeled_digraph(n, seed)
-        csr = freeze(g)
-        for source in list(g.nodes())[:5]:
-            assert bfs_distances(csr, source, max_depth=k) == bfs_distances(
-                g, source, max_depth=k
-            )
-            assert list(bfs_layer_sets(csr, source, max_depth=k)) == list(
-                bfs_layer_sets(g, source, max_depth=k)
-            )
-            assert k_hop_nodes(csr, source, k) == k_hop_nodes(g, source, k)
+    @given(st.integers(5, 25), st.integers(0, 100), st.integers(0, 4), st.booleans())
+    def test_traversal_agreement(self, n, seed, k, directed):
+        g = (random_labeled_digraph(n, seed) if directed
+             else labeled_preferential_attachment(n, m=2, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            with DiskGraph.create(Path(tmp) / "g.db", g) as disk:
+                backends = {"dict": g, "csr": freeze(g), "disk": disk}
+                for name, graph in backends.items():
+                    adjacency = {v: set(graph.neighbors(v)) for v in g.nodes()}
+                    for source in list(g.nodes())[:5]:
+                        assert traversal_results(graph, source, k) == traversal_results(
+                            g, source, k
+                        ), name
+                    # The BFS only reads the sets neighbors() hands out;
+                    # the dict backend's are its live adjacency.
+                    assert {v: set(graph.neighbors(v)) for v in g.nodes()} == adjacency, name
 
     def test_label_partitions(self):
+        # The label-partitioned adjacency's consumer is the profile
+        # index: each label run's width is one profile entry.
+        from collections import Counter
+
+        from repro.graph.profiles import NodeProfileIndex
+
         g = labeled_preferential_attachment(30, m=3, seed=5)
         csr = freeze(g)
+        generic = NodeProfileIndex(g)
         for n in g.nodes():
-            by_label = {}
-            for nbr in g.neighbors(n):
-                by_label.setdefault(g.label(nbr), set()).add(nbr)
-            for label, expected in by_label.items():
-                assert set(csr.neighbors_with_label(n, label)) == expected
-            assert csr.neighbors_with_label(n, "no-such-label") == ()
+            profile = csr.profile_index.profile(n)
+            assert profile == generic.profile(n)
+            assert profile == Counter(g.label(nbr) for nbr in g.neighbors(n))
+            assert profile["no-such-label"] == 0
 
     def test_profile_index_matches_generic(self):
         from repro.graph.profiles import NodeProfileIndex
@@ -260,11 +297,7 @@ class TestDifferentialCensus:
 class TestNumpyFallback:
     @pytest.fixture
     def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(repro.graph.csr, "_np", None)
         monkeypatch.setattr(repro.census.indexed, "_np", None)
-
-    def test_numpy_available_reports_stub(self, no_numpy):
-        assert not numpy_available()
 
     def test_reads_and_census_without_numpy(self, no_numpy):
         g = labeled_preferential_attachment(18, m=2, seed=11)
@@ -275,11 +308,6 @@ class TestNumpyFallback:
         assert fn(g, triangle(), 2) == ALGORITHMS["nd-bas"](g, triangle(), 2)
         for source in list(g.nodes())[:3]:
             assert bfs_distances(csr, source) == bfs_distances(g, source)
-
-    def test_frontier_arrays_requires_numpy(self, no_numpy):
-        csr = CSRGraph(preferential_attachment(8, m=2, seed=0))
-        with pytest.raises(GraphError):
-            csr.frontier_arrays(0)
 
     def test_numpy1_without_bitwise_count_falls_back(self, monkeypatch):
         # numpy < 2.0 has no np.bitwise_count; the bit-parallel path

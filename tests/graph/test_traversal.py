@@ -1,21 +1,27 @@
 """Tests for BFS traversal primitives and neighborhood extraction."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import NodeNotFoundError
+from repro.graph.csr import freeze
 from repro.graph.generators import erdos_renyi, preferential_attachment
 from repro.graph.graph import Graph
 from repro.graph.traversal import (
     bfs_distances,
+    bfs_layer_sets,
     bfs_layers,
     connected_components,
     eccentricity,
     ego_subgraph,
+    k_hop_distances,
     k_hop_nodes,
     pairwise_distances,
     shortest_path_length,
 )
 from repro.graph.views import induced_subgraph, intersection_neighborhood, union_neighborhood
+from repro.storage import DiskGraph
 
 
 def path_graph(n):
@@ -62,6 +68,35 @@ class TestBFS:
         g.add_node(1)
         g.add_node(2)
         assert shortest_path_length(g, 1, 2) is None
+
+
+class TestMissingSource:
+    ENTRY_POINTS = {
+        "bfs_distances": lambda g, s, k: bfs_distances(g, s, max_depth=k),
+        "bfs_layer_sets": lambda g, s, k: list(bfs_layer_sets(g, s, max_depth=k)),
+        "bfs_layers": lambda g, s, k: list(bfs_layers(g, s, max_depth=k)),
+        "k_hop_nodes": k_hop_nodes,
+        "k_hop_distances": k_hop_distances,
+        "ego_subgraph": ego_subgraph,
+        "shortest_path_length": lambda g, s, k: shortest_path_length(g, s, s, max_depth=k),
+    }
+
+    @pytest.fixture(params=["dict", "csr", "disk"])
+    def graph(self, request, tmp_path):
+        g = path_graph(4)
+        if request.param == "csr":
+            return freeze(g)
+        if request.param == "disk":
+            store = DiskGraph.create(tmp_path / "g.db", g)
+            request.addfinalizer(store.close)
+            return store
+        return g
+
+    @pytest.mark.parametrize("depth", (0, 2))
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_raises_on_every_backend_and_depth(self, graph, entry_point, depth):
+        with pytest.raises(NodeNotFoundError):
+            self.ENTRY_POINTS[entry_point](graph, "nope", depth)
 
 
 class TestKHop:

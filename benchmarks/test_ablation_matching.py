@@ -4,7 +4,9 @@ Compares the full CN matcher against the GQL-style baseline (identical
 candidate filtering, no CN sets) and brute force (no filtering at all)
 on one workload, and reports CN's pruning statistics.  The design claim
 (DESIGN.md §5): candidate filtering and CN-set extraction each
-contribute, so brute force > GQL > CN in runtime.
+contribute, so brute force > GQL > CN in runtime.  CN and GQL share
+one profile index per graph version (``graph.profile_index``); it is
+built before the timed calls, so both are timed on matching alone.
 """
 
 from repro.bench.harness import Sweep
@@ -20,6 +22,7 @@ GRAPH_SIZE = 600  # small enough for brute force to finish
 
 def test_ablation_matching(benchmark, record_figure):
     graph, pattern = matching_workload(GRAPH_SIZE, "clq3")
+    graph.profile_index  # warm: neither matcher pays the build
     sweep = Sweep("ablation: matcher strategies", x_label="matcher")
 
     def run():

@@ -5,7 +5,9 @@ access-path surface defined by :class:`repro.graph.graph.Graph`:
 
 - node iteration and attribute access,
 - neighbor iteration (``neighbors`` / ``out_neighbors`` / ``in_neighbors``),
-- edge existence and edge attribute access.
+- edge existence and edge attribute access,
+- ``profile_index``: the CN matcher's node profiles (kept per
+  ``version``; see :mod:`repro.graph.profiles`).
 
 Both the in-memory :class:`Graph` and the disk-resident
 :class:`repro.storage.DiskGraph` implement this surface, mirroring the

@@ -18,7 +18,7 @@ runs on it unchanged.  It does two jobs beyond that surface:
   candidate filter) are read off slice widths, and ``nodes_with_label``
   is a bucket built at freeze time.  :attr:`CSRGraph.profile_index`
   serves them with the :class:`repro.graph.profiles.NodeProfileIndex`
-  API, which ``enumerate_candidates`` picks up automatically.
+  API, the attribute ``enumerate_candidates`` reads on every backend.
 
 ``neighbors()`` hands out per-node frozensets of ids built once per
 snapshot, so the direction-blind union a directed dict graph recomputes

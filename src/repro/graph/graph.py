@@ -28,7 +28,7 @@ class Graph:
     """
 
     __slots__ = ("directed", "_node_attrs", "_succ", "_pred", "_edge_attrs",
-                 "_num_edges", "_version")
+                 "_num_edges", "_version", "_profile_index")
 
     def __init__(self, directed=False):
         self.directed = bool(directed)
@@ -40,6 +40,18 @@ class Graph:
         self._edge_attrs = {}
         self._num_edges = 0
         self._version = 0
+        self._profile_index = None
+
+    # Pickling ships the graph, not its derived profile index (see
+    # repro.census.parallel, which ships graphs to worker processes).
+    def __getstate__(self):
+        return {key: getattr(self, key) for key in self.__slots__
+                if key != "_profile_index"}
+
+    def __setstate__(self, state):
+        for key, value in state.items():
+            setattr(self, key, value)
+        self._profile_index = None
 
     @property
     def version(self):
@@ -48,14 +60,25 @@ class Graph:
         Bumped by every mutating operation that changes the graph
         (node/edge insertion or removal, attribute updates through the
         mutator methods).  Consumers — the query engine's aggregate
-        cache, the serving layer's snapshot protocol — key derived state
-        on this value so a mutated graph can never be mistaken for the
-        one the state was computed from.  Writes through the live dicts
-        returned by :meth:`node_attrs` / :meth:`edge_attrs` bypass the
-        counter; use :meth:`set_node_attr` / :meth:`add_edge` to keep
-        versioned consumers coherent.
+        cache, the serving layer's snapshot protocol, the graph's own
+        :attr:`profile_index` — key derived state on this value so a
+        mutated graph can never be mistaken for the one the state was
+        computed from.  Writes through the live dicts returned by
+        :meth:`node_attrs` / :meth:`edge_attrs` bypass the counter (a
+        label written that way leaves the profile index stale); use
+        :meth:`set_node_attr` / :meth:`add_edge` to keep versioned
+        consumers coherent.
         """
         return self._version
+
+    @property
+    def profile_index(self):
+        """The CN matcher's :class:`~repro.graph.profiles.NodeProfileIndex`,
+        built on first use and kept until :attr:`version` moves."""
+        from repro.graph.profiles import versioned_profile_index
+
+        self._profile_index = versioned_profile_index(self, self._profile_index)
+        return self._profile_index[1]
 
     # ------------------------------------------------------------------
     # Node operations

@@ -5,12 +5,18 @@ node ``n`` is a candidate for a pattern node ``v`` iff the profile of
 ``v`` is contained in the profile of ``n`` — for every label, ``n`` has
 at least as many neighbors with that label as ``v`` does.  The paper
 computes each database node profile once and stores it "along with the
-graph as an index"; :class:`NodeProfileIndex` plays that role.
+graph as an index"; :class:`NodeProfileIndex` plays that role, and every
+backend serves one as ``graph.profile_index``: a :class:`CSRGraph` reads
+it off its label-partitioned adjacency, while :class:`Graph` and
+:class:`DiskGraph` keep a :class:`NodeProfileIndex` built on first use
+and rebuilt after any ``version`` bump (:func:`versioned_profile_index`).
 """
 
 from collections import Counter, defaultdict
 
+from repro.exec.budget import current_budget
 from repro.graph.graph import LABEL_KEY
+from repro.obs import current_obs
 
 
 def node_profile(graph, node):
@@ -36,15 +42,21 @@ class NodeProfileIndex:
     - ``nodes_with_label(l)`` returns the set of nodes labeled ``l`` —
       the first filter when enumerating candidates for a labeled pattern
       node.
+
+    The build is O(V+E): each node's label is read once, then each
+    adjacency list once.  It ticks the ambient budget once per node.
     """
 
     def __init__(self, graph):
-        self._graph = graph
+        labels = {n: graph.node_attr(n, LABEL_KEY) for n in graph.nodes()}
+        budget = current_budget()
         self._profiles = {}
         self._by_label = defaultdict(set)
-        for n in graph.nodes():
-            self._profiles[n] = node_profile(graph, n)
-            self._by_label[graph.node_attr(n, LABEL_KEY)].add(n)
+        for n, label in labels.items():
+            if budget is not None:
+                budget.tick()
+            self._profiles[n] = Counter(labels[x] for x in graph.neighbors(n))
+            self._by_label[label].add(n)
 
     def profile(self, node):
         return self._profiles[node]
@@ -70,3 +82,25 @@ class NodeProfileIndex:
 
     def __len__(self):
         return len(self._profiles)
+
+
+def versioned_profile_index(graph, cached):
+    """``(version, index)`` for a mutable ``graph``.
+
+    ``cached`` is the pair the graph kept from its last call (or
+    ``None``); it is returned as is while ``graph.version`` stands, and
+    replaced by a fresh build otherwise.  The build runs in a
+    ``graph.profile_index`` span; the ``graph.profile_index.builds`` /
+    ``.reuses`` counters say which way each call went.  A build cut
+    short (a :class:`~repro.errors.BudgetExceeded`) raises before the
+    caller can keep anything.
+    """
+    obs = current_obs()
+    version = graph.version
+    if cached is not None and cached[0] == version:
+        obs.add("graph.profile_index.reuses")
+        return cached
+    with obs.span("graph.profile_index", nodes=len(graph)):
+        index = NodeProfileIndex(graph)
+        obs.add("graph.profile_index.builds")
+    return version, index

@@ -2,7 +2,7 @@
 incremental constraint checks used by all three matchers."""
 
 from repro.exec.budget import current_budget
-from repro.graph.profiles import NodeProfileIndex, profile_contains
+from repro.graph.profiles import profile_contains
 
 
 class Match:
@@ -119,19 +119,15 @@ def pattern_degrees(pattern, var):
     return len(total), len(outgoing), len(incoming)
 
 
-def enumerate_candidates(graph, pattern, profile_index=None):
+def enumerate_candidates(graph, pattern):
     """Step 1 of both CN and GQL: the profile-filtered candidate sets.
 
     Returns ``{var: set(database nodes)}``.  Filters applied per node:
     label equality, (out/in/total) degree lower bounds, label-profile
-    containment, and single-variable predicates.
+    containment, and single-variable predicates.  Profiles come from
+    ``graph.profile_index``, which every backend keeps per graph version.
     """
-    if profile_index is None:
-        # CSR snapshots carry a prebuilt profile index; building one per
-        # matching pass is pure waste on a frozen graph.
-        profile_index = getattr(graph, "profile_index", None)
-        if profile_index is None:
-            profile_index = NodeProfileIndex(graph)
+    profile_index = graph.profile_index
     budget = current_budget()
     candidates = {}
     for var in pattern.nodes:

@@ -45,10 +45,10 @@ class CNState:
         self.stats = stats
 
 
-def build_cn_state(graph, pattern, profile_index=None):
+def build_cn_state(graph, pattern):
     """Run steps 1–3 (candidates, CN init, fixpoint pruning)."""
     pattern.validate()
-    candidates = enumerate_candidates(graph, pattern, profile_index)
+    candidates = enumerate_candidates(graph, pattern)
     stats = {"initial_candidates": {v: len(c) for v, c in candidates.items()}}
 
     # CN entries are keyed by (neighbor var, edge id): two parallel
@@ -75,31 +75,34 @@ def build_cn_state(graph, pattern, profile_index=None):
             cn[(var, n)] = entry
 
     passes = 0
-    changed = True
-    while changed:
-        changed = False
+    check = list(cn)
+    while True:
         passes += 1
         if budget is not None:
             budget.tick(sum(len(c) for c in candidates.values()))
-        # Drop candidates with an empty candidate-neighbor set.
-        for var in pattern.nodes:
-            doomed = [
-                n
-                for n in candidates[var]
-                if any(not s for s in cn[(var, n)].values())
-            ]
-            for n in doomed:
+        # Drop candidates with an empty candidate-neighbor set.  CN sets
+        # only shrink, so after the first pass only the entries that
+        # shrank in the last pass can have newly emptied.
+        removed = {}
+        for key in check:
+            if any(not s for s in cn[key].values()):
+                var, n = key
                 candidates[var].discard(n)
-                del cn[(var, n)]
-                changed = True
-        # Drop candidate neighbors that are no longer candidates.
-        for (var, n), entry in cn.items():
-            for (other, eid), s in entry.items():
-                stale = s - candidates[other]
-                if stale:
-                    s -= stale
-                    entry[(other, eid)] = s
-                    changed = True
+                del cn[key]
+                removed.setdefault(var, set()).add(n)
+        if not removed:
+            break
+        # Drop candidate neighbors that are no longer candidates: every
+        # CN set is a subset of the candidates as of the last pass, so
+        # the stale members are exactly the ones just removed.
+        shrunk = set()
+        for key, entry in cn.items():
+            for (other, _eid), s in entry.items():
+                gone = removed.get(other)
+                if gone is not None and not s.isdisjoint(gone):
+                    s -= gone
+                    shrunk.add(key)
+        check = shrunk
 
     stats["pruning_passes"] = passes
     stats["pruned_candidates"] = {v: len(c) for v, c in candidates.items()}
@@ -117,45 +120,79 @@ def build_cn_state(graph, pattern, profile_index=None):
     return CNState(candidates, cn, stats)
 
 
+def _needs_check(pattern, order, i):
+    """Whether binding ``order[i]`` can violate a negated edge or a
+    multi-variable predicate (the constraints CN sets do not encode)."""
+    var = order[i]
+    prefix = set(order[:i])
+    for e in pattern.negative_edges():
+        if (e.u == var and e.v in prefix) or (e.v == var and e.u in prefix):
+            return True
+    return any(
+        var in p.variables() and p.variables() <= prefix | {var}
+        for p in pattern.multi_var_predicates()
+    )
+
+
 def extract_matches(graph, pattern, state, limit=None):
-    """Step 4: forward extraction over the pruned CN state."""
+    """Step 4: forward extraction over the pruned CN state.
+
+    Positive-edge adjacency comes from the CN sets and injectivity from
+    a ``used`` set; :func:`check_new_binding` runs only where a negated
+    edge or a multi-variable predicate becomes fully bound.
+    """
     order = connected_order(pattern, {v: len(c) for v, c in state.candidates.items()})
-    back_edges = [earlier_neighbors(pattern, order, i) for i in range(len(order))]
     edge_ids = {id(e): i for i, e in enumerate(pattern.edges)}
+    # back_keys[i]: (earlier var, CN key) per positive edge into the prefix.
+    back_keys = [
+        [(earlier, (var, edge_ids[id(edge)]))
+         for earlier, edge in earlier_neighbors(pattern, order, i)]
+        for i, var in enumerate(order)
+    ]
+    checks = [_needs_check(pattern, order, i) for i in range(len(order))]
+    cn = state.cn
+    depth = len(order)
 
     budget = current_budget()
     matches = []
     assignment = {}
-    bound = []
+    used = set()
 
     def extend(i):
         if limit is not None and len(matches) >= limit:
             return
-        if i == len(order):
+        if i == depth:
             matches.append(Match(assignment, pattern))
             if budget is not None:
                 budget.count_result()
             return
         fault_point("match.expand")
         var = order[i]
-        if i == 0:
+        keys = back_keys[i]
+        if not keys:
             pool = state.candidates[var]
         else:
-            pool = None
-            for earlier, edge in back_edges[i]:
-                s = state.cn[(earlier, assignment[earlier])][(var, edge_ids[id(edge)])]
-                pool = set(s) if pool is None else pool & s
+            earlier, key = keys[0]
+            # A copy: its iteration order fixes the emission order of
+            # matches, which PT-OPT's clustering (and its work) follows.
+            pool = set(cn[(earlier, assignment[earlier])][key])
+            for earlier, key in keys[1:]:
+                pool = pool & cn[(earlier, assignment[earlier])][key]
                 if not pool:
                     return
+        check = checks[i]
         for node in pool:
             if budget is not None:
                 budget.tick()
-            if check_new_binding(graph, pattern, assignment, var, node, bound):
-                assignment[var] = node
-                bound.append(var)
-                extend(i + 1)
-                bound.pop()
-                del assignment[var]
+            if node in used:
+                continue
+            if check and not check_new_binding(graph, pattern, assignment, var, node, ()):
+                continue
+            assignment[var] = node
+            used.add(node)
+            extend(i + 1)
+            used.discard(node)
+            del assignment[var]
 
     try:
         extend(0)
@@ -164,11 +201,11 @@ def extract_matches(graph, pattern, state, limit=None):
     return matches
 
 
-def cn_matches(graph, pattern, distinct=True, profile_index=None):
+def cn_matches(graph, pattern, distinct=True):
     """Find all matches of ``pattern`` in ``graph`` with the CN algorithm."""
     obs = current_obs()
     with obs.span("match.cn", pattern=pattern.name):
-        state = build_cn_state(graph, pattern, profile_index)
+        state = build_cn_state(graph, pattern)
         if any(not c for c in state.candidates.values()):
             return []
         matches = extract_matches(graph, pattern, state)

@@ -60,16 +60,16 @@ def refine_candidates(graph, pattern, candidates, max_passes=None):
     return candidates
 
 
-def gql_matches(graph, pattern, distinct=True, profile_index=None):
+def gql_matches(graph, pattern, distinct=True):
     """Find all matches with the GQL-style baseline."""
     pattern.validate()
     obs = current_obs()
     with obs.span("match.gql", pattern=pattern.name):
-        return _gql_matches(graph, pattern, distinct, profile_index, obs)
+        return _gql_matches(graph, pattern, distinct, obs)
 
 
-def _gql_matches(graph, pattern, distinct, profile_index, obs):
-    candidates = enumerate_candidates(graph, pattern, profile_index)
+def _gql_matches(graph, pattern, distinct, obs):
+    candidates = enumerate_candidates(graph, pattern)
     candidates = refine_candidates(graph, pattern, candidates)
     if any(not c for c in candidates.values()):
         return []

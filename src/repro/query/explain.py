@@ -194,6 +194,8 @@ _ANALYZE_COUNTERS = (
     ("match.gql.candidates_scanned", "candidates"),
     ("match.cn.pruning_passes", "pruning passes"),
     ("match.gql.refine_passes", "refine passes"),
+    ("graph.profile_index.builds", "profile index builds"),
+    ("graph.profile_index.reuses", "profile index reuses"),
     ("census.nd_pvot.bulk_added", "bulk added"),
     ("census.pairwise.bulk_added", "bulk added"),
     ("census.nd_pvot.containment_checks", "containment checks"),

@@ -37,15 +37,38 @@ class DiskGraph:
 
     def __init__(self, pager, cache_pages=256, record_cache=1024):
         self._pager = pager
+        self._cache_pages = cache_pages
         self._log = RecordLog(pager, cache_pages=cache_pages)
         self.directed = pager.directed
         self._directory = {}
         self._num_edges = 0
         self._version = 0
+        self._flushed_version = 0
+        self._profile_index = None
         self._record_cache = OrderedDict()
         self._record_cache_cap = max(1, record_cache)
         if pager.dir_offset:
             self._load_directory(pager.dir_offset)
+
+    # Pickling ships the path and reopens the committed store on the
+    # other side (repro.census.parallel ships graphs to worker
+    # processes); no cache, the profile index included, travels along.
+    def __getstate__(self):
+        if self._version != self._flushed_version:
+            raise StorageError(
+                f"{self._pager.path!r} has uncommitted writes; flush() before pickling"
+            )
+        return {
+            "path": self._pager.path,
+            "cache_pages": self._cache_pages,
+            "record_cache": self._record_cache_cap,
+            "version": self._version,
+        }
+
+    def __setstate__(self, state):
+        self.__init__(Pager(state["path"]), cache_pages=state["cache_pages"],
+                      record_cache=state["record_cache"])
+        self._version = self._flushed_version = state["version"]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -77,6 +100,7 @@ class DiskGraph:
         )
         self._pager.dir_offset = offset
         self._log.flush()
+        self._flushed_version = self._version
 
     def close(self):
         self.flush()
@@ -162,9 +186,20 @@ class DiskGraph:
         Every record write — node/edge insertion, attribute update —
         bumps it, mirroring :attr:`repro.graph.Graph.version` so
         version-keyed consumers (the engine's aggregate cache, the
-        serving layer) work identically over disk-resident graphs.
+        serving layer, :attr:`profile_index`) work identically over
+        disk-resident graphs.
         """
         return self._version
+
+    @property
+    def profile_index(self):
+        """The CN matcher's :class:`~repro.graph.profiles.NodeProfileIndex`,
+        built on first use (one read of every record) and kept until
+        :attr:`version` moves."""
+        from repro.graph.profiles import versioned_profile_index
+
+        self._profile_index = versioned_profile_index(self, self._profile_index)
+        return self._profile_index[1]
 
     def _write_record(self, node, rec):
         self._version += 1

@@ -229,6 +229,8 @@ class TestObservability:
     def test_merge_is_deterministic(self):
         g = labeled_preferential_attachment(35, m=2, seed=4)
         pattern = triangle(labels=("A", "B", "C"))
+        # Warm the graph's profile index so every run reuses it alike.
+        assert len(g.profile_index) == 35
         runs = [
             self._counters(lambda: parallel_census(
                 g, pattern, 2, algorithm="nd-pvot", workers=4, executor="thread"

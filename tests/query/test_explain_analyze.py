@@ -68,6 +68,19 @@ class TestExplainAnalyze:
             assert f"kernel=bit-parallel over {index} index" in census_line
             assert "indexed nodes=10" in census_line
 
+    def test_census_line_says_whether_the_profile_index_was_built(self):
+        g = triangle_chain()
+        first, second = (
+            next(row[0] for row in table if row[0].startswith("CENSUS"))
+            for (table,) in (QueryEngine(g).execute_script(self.SCRIPT) for _ in range(2))
+        )
+        assert "profile index builds=1" in first
+        assert "profile index reuses" not in first
+        assert "profile index reuses=1" in second
+        assert "profile index builds" not in second
+        (table,) = QueryEngine(g, backend="csr").execute_script(self.SCRIPT)
+        assert "profile index" not in "\n".join(row[0] for row in table)
+
     def test_actually_executes(self):
         eng = QueryEngine(triangle_chain(), cache=True)
         eng.execute_script(self.SCRIPT)
